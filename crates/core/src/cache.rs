@@ -210,23 +210,42 @@ impl SolutionCache {
             let Some(entry) = self.entries.get(&key) else {
                 return CacheLookup::Miss(key);
             };
-            CacheLookup::Hit(self.serve_with_scratch(&entry, instance, &scratch, true))
+            CacheLookup::Hit(self.serve_entry(&entry, instance, Some(scratch.permutation()), true))
         })
+    }
+
+    /// [`lookup`](Self::lookup) for a caller that already holds the instance's
+    /// canonical fingerprint (the fleet computes it for ring routing), so admission
+    /// fingerprints each request once. `canonical` must be
+    /// `canonical_fingerprint_into(instance, ..)`. The canonical permutation is
+    /// recomputed only when a hit needs a remap.
+    pub fn lookup_fingerprinted(
+        &self,
+        token: u64,
+        canonical: Fingerprint,
+        instance: &TspInstance,
+    ) -> CacheLookup {
+        debug_assert_eq!(
+            canonical,
+            SCRATCH.with(|scratch| canonical_fingerprint_into(instance, &mut scratch.borrow_mut())),
+            "the supplied fingerprint must be the instance's canonical fingerprint"
+        );
+        let key = canonical.mixed_with(token).as_u128();
+        match self.entries.get(&key) {
+            Some(entry) => CacheLookup::Hit(self.serve_entry(&entry, instance, None, true)),
+            None => CacheLookup::Miss(key),
+        }
     }
 
     /// Probes a previously computed `key` (a [`lookup`](Self::lookup) miss value or
     /// [`key`](Self::key)) without re-fingerprinting on the miss path — the
     /// worker-side re-check of a request that already missed at admission. The miss
     /// is **not** re-counted (the admission lookup counted it); a hit counts
-    /// normally, and only then is the instance fingerprinted (to build the remap
-    /// permutation).
+    /// normally, and only a hit that needs a remap fingerprints the instance (to
+    /// build the remap permutation).
     pub fn lookup_keyed(&self, key: u128, instance: &TspInstance) -> Option<CacheHit> {
         let entry = self.entries.probe(&key)?;
-        Some(SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let _ = canonical_fingerprint_into(instance, &mut scratch);
-            self.serve_with_scratch(&entry, instance, &scratch, true)
-        }))
+        Some(self.serve_entry(&entry, instance, None, true))
     }
 
     /// Serves `entry` to `instance`, which must canonicalise to the same key the
@@ -235,22 +254,19 @@ impl SolutionCache {
     /// a flight completion, not a cache probe, so it stays out of the hit-rate
     /// statistics.
     pub fn serve(&self, entry: &Arc<CachedEntry>, instance: &TspInstance) -> CacheHit {
-        SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            let _ = canonical_fingerprint_into(instance, &mut scratch);
-            self.serve_with_scratch(entry, instance, &scratch, false)
-        })
+        self.serve_entry(entry, instance, None, false)
     }
 
-    /// Serve helper over an already-fingerprinted request (`scratch` holds the
-    /// request's canonical permutation). `record` ties the exact/remapped counters
-    /// to the paths whose underlying probe counted a cache hit, preserving the
-    /// invariant `hits == exact_hits + remapped_hits`.
-    fn serve_with_scratch(
+    /// Serves `entry` to `instance`. `perm` is the request's canonical permutation
+    /// when the caller already computed it; otherwise it is computed only if the
+    /// request is not a verbatim resubmission. `record` ties the exact/remapped
+    /// counters to the paths whose underlying probe counted a cache hit, preserving
+    /// the invariant `hits == exact_hits + remapped_hits`.
+    fn serve_entry(
         &self,
         entry: &Arc<CachedEntry>,
         instance: &TspInstance,
-        scratch: &FingerprintScratch,
+        perm: Option<&[u32]>,
         record: bool,
     ) -> CacheHit {
         use std::sync::atomic::Ordering;
@@ -266,13 +282,22 @@ impl SolutionCache {
         // A permuted resubmission: gather the stored canonical tour through the
         // request's own canonical permutation. Same physical coordinates, same visit
         // order, bit-identical cost.
-        let perm = scratch.permutation();
-        debug_assert_eq!(perm.len(), entry.canonical_tour.len());
-        let order: Vec<usize> = entry
-            .canonical_tour
-            .iter()
-            .map(|&c| perm[c as usize] as usize)
-            .collect();
+        let gather = |perm: &[u32]| -> Vec<usize> {
+            debug_assert_eq!(perm.len(), entry.canonical_tour.len());
+            entry
+                .canonical_tour
+                .iter()
+                .map(|&c| perm[c as usize] as usize)
+                .collect()
+        };
+        let order = match perm {
+            Some(perm) => gather(perm),
+            None => SCRATCH.with(|scratch| {
+                let mut scratch = scratch.borrow_mut();
+                let _ = canonical_fingerprint_into(instance, &mut scratch);
+                gather(scratch.permutation())
+            }),
+        };
         let tour = Tour::new(order).expect("remapped canonical tour is a permutation");
         let mut solution = (*entry.solution).clone();
         debug_assert_eq!(
@@ -557,6 +582,48 @@ mod tests {
         assert_eq!(stats.entries, 1);
         assert!(stats.bytes > 0);
         assert!((stats.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// A caller-supplied canonical fingerprint serves exactly what `lookup` serves:
+    /// the same miss key, the verbatim hit, and the remap of a permuted
+    /// resubmission (whose permutation is then computed inside the cache).
+    #[test]
+    fn fingerprinted_lookup_matches_lookup() {
+        use taxi_tsplib::fingerprint::canonical_fingerprint;
+        let cache = SolutionCache::with_defaults();
+        let solver = TaxiSolver::new(TaxiConfig::new().with_seed(5));
+        let instance = clustered_instance("fp", 50, 4, 9);
+        let shuffled = permuted(&instance, 13);
+        let (canonical, _) = canonical_fingerprint(&instance);
+        assert_eq!(canonical, canonical_fingerprint(&shuffled).0);
+
+        let CacheLookup::Miss(key) = cache.lookup_fingerprinted(1, canonical, &instance) else {
+            panic!("cold cache must miss");
+        };
+        assert_eq!(key, cache.key(1, &instance));
+        let solution = Arc::new(solver.solve(&instance).unwrap());
+        cache.insert(key, &instance, Arc::clone(&solution));
+
+        for request in [&instance, &shuffled] {
+            let CacheLookup::Hit(direct) = cache.lookup(1, request) else {
+                panic!("lookup must hit");
+            };
+            let CacheLookup::Hit(given) = cache.lookup_fingerprinted(1, canonical, request) else {
+                panic!("fingerprinted lookup must hit");
+            };
+            assert_eq!(given.remapped, direct.remapped);
+            assert_eq!(given.remapped, !std::ptr::eq(request, &instance));
+            assert_eq!(given.solution.tour, direct.solution.tour);
+            assert_eq!(
+                given.solution.length.to_bits(),
+                direct.solution.length.to_bits()
+            );
+        }
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.exact_hits, stats.remapped_hits, stats.misses),
+            (2, 2, 1)
+        );
     }
 
     #[test]

@@ -50,10 +50,18 @@ impl StochasticBitSource {
         current: WriteCurrent,
         rng: &mut R,
     ) -> Result<bool, DeviceError> {
+        self.device.params().require_stochastic(current)?;
+        let p = self.device.params().switching_probability(current);
+        Ok(self.sample_with_probability(p, rng))
+    }
+
+    /// [`sample`](Self::sample) at a switching probability `p` already derived from a
+    /// validated in-window current: reset, one stochastic pulse, one draw.
+    fn sample_with_probability<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> bool {
         self.device.write_deterministic(MagState::AntiParallel);
-        let switched = self.device.try_stochastic_flip(current, rng)?;
+        let switched = self.device.flip_with_probability(p, rng);
         self.samples_drawn += 1;
-        Ok(switched)
+        switched
     }
 
     /// Number of bits drawn so far.
@@ -151,8 +159,13 @@ impl StochasticVectorGenerator {
         mask: &mut Vec<bool>,
     ) -> Result<(), DeviceError> {
         mask.clear();
+        // Every unit of a pulse sees the same write current, so the window check and
+        // the sigmoid are evaluated once per pulse; each unit still draws its own bit,
+        // in unit order, exactly as a per-unit `sample` loop would.
+        self.params.require_stochastic(current)?;
+        let p = self.params.switching_probability(current);
         for unit in &mut self.units {
-            mask.push(unit.sample(current, rng)?);
+            mask.push(unit.sample_with_probability(p, rng));
         }
         self.pulses_issued += 1;
         if mask.iter().all(|&b| !b) {
@@ -270,6 +283,76 @@ mod tests {
         assert_eq!(gen.pulses_issued(), 3);
         assert!(gen.energy_per_mask() > 0.0);
         assert!(gen.latency_per_mask() > 0.0);
+    }
+
+    /// The per-pulse `generate_into` against the circuit it replaces: one
+    /// `StochasticBitSource::sample` per unit, then the NAND all-zero fallback.
+    #[test]
+    fn per_pulse_generation_matches_per_unit_sampling() {
+        use rand::RngCore;
+        const PULSES: usize = 598;
+        let params = DeviceParams::default();
+        for width in [1usize, 4, 12, 17] {
+            let mut gen = StochasticVectorGenerator::new(params.clone(), width).unwrap();
+            let mut reference: Vec<StochasticBitSource> = (0..width)
+                .map(|_| StochasticBitSource::new(params.clone()))
+                .collect();
+            let mut rng = ChaCha8Rng::seed_from_u64(width as u64 * 31 + 7);
+            let mut ref_rng = rng.clone();
+            let mut mask = Vec::new();
+            let mut fallbacks = 0;
+            // 305 µA sits near the bottom of the window, where the fallback fires. The
+            // last pulse is at 420 µA (p = 0.2), so the final unit states differ.
+            for (pulse, ua) in [305.0, 353.0, 380.0, 420.0, 500.0, 649.0]
+                .iter()
+                .cycle()
+                .take(PULSES)
+                .enumerate()
+            {
+                let current = WriteCurrent::from_micro_amps(*ua);
+                gen.generate_into(current, &mut rng, &mut mask).unwrap();
+                let mut expected: Vec<bool> = reference
+                    .iter_mut()
+                    .map(|unit| unit.sample(current, &mut ref_rng).unwrap())
+                    .collect();
+                if expected.iter().all(|&b| !b) {
+                    expected.iter_mut().for_each(|b| *b = true);
+                    fallbacks += 1;
+                }
+                assert_eq!(mask, expected, "width {width}, pulse {pulse}");
+                assert_eq!(gen.pulses_issued(), pulse as u64 + 1);
+            }
+            assert!(fallbacks > 0, "the all-zero fallback must be exercised");
+            for (unit, expected) in gen.units.iter().zip(&reference) {
+                assert_eq!(unit.samples_drawn(), expected.samples_drawn());
+                assert_eq!(unit.device(), expected.device());
+                assert_eq!(unit.device().write_count(), 2 * PULSES as u64);
+            }
+            assert_eq!(rng.next_u64(), ref_rng.next_u64(), "same draws consumed");
+        }
+    }
+
+    #[test]
+    fn out_of_window_pulse_fails_before_any_draw() {
+        use rand::RngCore;
+        let params = DeviceParams::default();
+        let mut gen = StochasticVectorGenerator::new(params.clone(), 8).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let mut mask = Vec::new();
+        for ua in [0.0, 299.9, 650.0, 700.0] {
+            let current = WriteCurrent::from_micro_amps(ua);
+            let untouched = rng.clone();
+            let err = gen.generate_into(current, &mut rng, &mut mask).unwrap_err();
+            assert_eq!(err, params.require_stochastic(current).unwrap_err());
+            assert!(matches!(
+                err,
+                DeviceError::CurrentOutsideStochasticWindow { .. }
+            ));
+            assert_eq!(rng.clone().next_u64(), untouched.clone().next_u64());
+            assert_eq!(gen.pulses_issued(), 0);
+            assert!(gen.units.iter().all(|u| u.samples_drawn() == 0));
+            assert!(gen.units.iter().all(|u| u.device().write_count() == 0));
+        }
     }
 
     #[test]

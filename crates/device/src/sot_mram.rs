@@ -154,13 +154,20 @@ impl SotMram {
         rng: &mut R,
     ) -> Result<bool, DeviceError> {
         self.params.require_stochastic(current)?;
-        let p = self.params.switching_probability(current);
+        Ok(self.flip_with_probability(self.params.switching_probability(current), rng))
+    }
+
+    /// One stochastic write pulse whose switching probability `p` the caller has
+    /// already derived from a validated in-window current: draws one Bernoulli(`p`)
+    /// bit, counts the write and flips the state when the bit is set. Lets a mask
+    /// circuit whose units share one pulse validate and evaluate the sigmoid once.
+    pub(crate) fn flip_with_probability<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> bool {
         self.write_count += 1;
         let switched = rng.gen_bool(p.clamp(0.0, 1.0));
         if switched {
             self.state = self.state.flipped();
         }
-        Ok(switched)
+        switched
     }
 
     /// Energy dissipated by a single write pulse, in joules.

@@ -29,6 +29,7 @@ use taxi::{
 };
 
 use taxi_trace::{AttrKey, RequestFacts, SpanName, Tracer};
+use taxi_tsplib::Fingerprint;
 
 use crate::coalesce::{CoalesceRole, Coalescer};
 use crate::metrics::{MetricsObserver, ServiceMetrics, ServiceSnapshot};
@@ -460,6 +461,22 @@ impl DispatchService {
     /// Returns [`SubmitError`] when admission refuses the request (the request rides
     /// back inside the error).
     pub fn submit(&self, request: DispatchRequest) -> Result<Ticket, SubmitError> {
+        self.submit_fingerprinted(request, None)
+    }
+
+    /// [`submit`](Self::submit) for a caller that already computed the instance's
+    /// canonical fingerprint (the fleet does, to route by it): `canonical`, when
+    /// given, must be the canonical fingerprint of `request.instance`, and the
+    /// admission-time cache probe reuses it instead of fingerprinting again.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`submit`](Self::submit).
+    pub fn submit_fingerprinted(
+        &self,
+        request: DispatchRequest,
+        canonical: Option<Fingerprint>,
+    ) -> Result<Ticket, SubmitError> {
         let Some(cache) = &self.config.cache else {
             return self.queue.submit(request);
         };
@@ -476,7 +493,13 @@ impl DispatchService {
             return Err(SubmitError::ShuttingDown(request));
         }
         let arrived = Instant::now();
-        match cache.lookup(self.cache_token, &request.instance) {
+        let lookup = match canonical {
+            Some(canonical) => {
+                cache.lookup_fingerprinted(self.cache_token, canonical, &request.instance)
+            }
+            None => cache.lookup(self.cache_token, &request.instance),
+        };
+        match lookup {
             CacheLookup::Hit(hit) => {
                 let seq = self.queue.allocate_seq();
                 let (mut pending, ticket) = Pending::admit(request, seq);

@@ -50,7 +50,7 @@ use taxi_obs::{
 };
 use taxi_trace::{Tracer, TracerStats};
 use taxi_tsplib::fingerprint::{canonical_fingerprint_into, FingerprintScratch};
-use taxi_tsplib::TspInstance;
+use taxi_tsplib::{Fingerprint, TspInstance};
 
 use crate::health::{
     evaluate_window, HealthCheck, HealthPolicy, HealthReport, HealthVerdict, ProbeId, ProbeWindow,
@@ -336,13 +336,9 @@ thread_local! {
 /// only for coordinate instances (explicit matrices would need the exact
 /// fingerprint, which is not permutation-invariant and therefore useless for
 /// affinity).
-fn routing_key(instance: &TspInstance) -> Option<u128> {
+fn routing_key(instance: &TspInstance) -> Option<Fingerprint> {
     instance.coordinates()?;
-    Some(
-        FP_SCRATCH.with(|scratch| {
-            canonical_fingerprint_into(instance, &mut scratch.borrow_mut()).as_u128()
-        }),
-    )
+    Some(FP_SCRATCH.with(|scratch| canonical_fingerprint_into(instance, &mut scratch.borrow_mut())))
 }
 
 /// The immutable routing table the reconciler publishes each tick: the ring plus
@@ -623,7 +619,7 @@ impl FleetInner {
         let mut remaining = Vec::new();
         for pending in orphans.drain(..) {
             let target = routing_key(&pending.request().instance)
-                .and_then(|key| table.ring.route(key))
+                .and_then(|key| table.ring.route(key.as_u128()))
                 .and_then(|owner| table.members.get(owner.index()).cloned().flatten())
                 .or_else(|| table.least_loaded().cloned());
             match target {
@@ -1097,6 +1093,12 @@ impl Fleet {
     pub fn submit(&self, request: DispatchRequest) -> Result<Ticket, SubmitError> {
         const MAX_ATTEMPTS: usize = 200;
         let mut request = request;
+        // Fingerprinted once: the ring routes by it and the owning shard's cache
+        // probe reuses it.
+        let canonical = match self.inner.config.routing {
+            RoutingPolicy::FingerprintAffinity => routing_key(&request.instance),
+            RoutingPolicy::Scatter => None,
+        };
         for attempt in 0..MAX_ATTEMPTS {
             if self.inner.shutdown.load(Ordering::SeqCst) {
                 return Err(SubmitError::ShuttingDown(request));
@@ -1108,7 +1110,7 @@ impl Fleet {
                     .read()
                     .unwrap_or_else(PoisonError::into_inner),
             );
-            let target = self.pick(&table, &request);
+            let target = self.pick(&table, canonical);
             let Some(service) = target else {
                 // No shard in rotation (mid-recycle): kick the reconciler and
                 // retry against the next table.
@@ -1116,7 +1118,7 @@ impl Fleet {
                 std::thread::sleep(Duration::from_millis(1));
                 continue;
             };
-            match service.submit(request) {
+            match service.submit_fingerprinted(request, canonical) {
                 Ok(ticket) => return Ok(ticket),
                 Err(SubmitError::QueueFull(refused)) => {
                     return Err(SubmitError::QueueFull(refused));
@@ -1134,11 +1136,12 @@ impl Fleet {
         Err(SubmitError::ShuttingDown(request))
     }
 
-    /// Picks the target service for `request` under the configured policy.
+    /// Picks the target service under the configured policy; `canonical` is the
+    /// request's [`routing_key`] under fingerprint affinity.
     fn pick(
         &self,
         table: &RoutingTable,
-        request: &DispatchRequest,
+        canonical: Option<Fingerprint>,
     ) -> Option<Arc<DispatchService>> {
         match self.inner.config.routing {
             RoutingPolicy::Scatter => {
@@ -1149,8 +1152,8 @@ impl Fleet {
                 let cursor = self.inner.scatter_cursor.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(live[cursor % live.len()].1))
             }
-            RoutingPolicy::FingerprintAffinity => routing_key(&request.instance)
-                .and_then(|key| table.ring.route(key))
+            RoutingPolicy::FingerprintAffinity => canonical
+                .and_then(|key| table.ring.route(key.as_u128()))
                 .and_then(|owner| table.members.get(owner.index()).cloned().flatten())
                 .or_else(|| table.least_loaded().cloned()),
         }

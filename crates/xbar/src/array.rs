@@ -140,12 +140,21 @@ pub struct CrossbarArray {
     /// Cached effective conductance per cell (state + variation + wire resistance).
     ///
     /// The read kernels are the anneal loop's hot path; the conductance formula is
-    /// deterministic in the cell state, so it only needs re-evaluation at the four
-    /// mutation points (`new`, `program_weights`, `write_spin`, `reset_order_column`)
-    /// instead of once per MAC term. Values are identical to computing on the fly.
+    /// deterministic in the cell state, so it only needs re-evaluation at the mutation
+    /// points (`new`, `program_weights`, `write_spin`, `reset_order_column`,
+    /// `move_spin`) instead of once per MAC term. Values are identical to computing on
+    /// the fly.
     g_eff: Vec<f64>,
     /// Reusable per-city scratch for assignment validation (no per-write allocation).
     seen_buf: Vec<bool>,
+    /// The last row vector [`weighted_column_currents_into`](Self::weighted_column_currents_into)
+    /// evaluated and the per-city currents it produced. The MAC reads only the weight
+    /// partitions, which change only in [`program_weights`](Self::program_weights), so a
+    /// repeated row vector reproduces these currents exactly. `mac_memo_valid` is
+    /// cleared whenever the weights are (re)programmed.
+    mac_key: Vec<bool>,
+    mac_memo: Vec<f64>,
+    mac_memo_valid: bool,
     write_ops: u64,
     read_ops: u64,
 }
@@ -185,6 +194,9 @@ impl CrossbarArray {
             variation,
             g_eff: vec![0.0; n_cells],
             seen_buf: vec![false; rows],
+            mac_key: vec![false; rows],
+            mac_memo: vec![0.0; rows],
+            mac_memo_valid: false,
             write_ops: 0,
             read_ops: 0,
         };
@@ -281,6 +293,7 @@ impl CrossbarArray {
                 ),
             });
         }
+        self.mac_memo_valid = false;
         let n = self.geometry.rows;
         let bits = self.geometry.precision.bits();
         for row in 0..n {
@@ -343,6 +356,43 @@ impl CrossbarArray {
             self.refresh_conductance(city, col);
             self.write_ops += 1;
         }
+        Ok(())
+    }
+
+    /// Moves the selected city of the spin-storage column for `order` from `from_city`
+    /// to `to_city`: the result and the write count of
+    /// [`reset_order_column`](Self::reset_order_column) followed by
+    /// [`write_spin`](Self::write_spin)`(to_city, order, true)` on a column whose only
+    /// selected cell is `from_city`, but only the two cells whose state changes are
+    /// rewritten.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`XbarError::IndexOutOfRange`] if any index is out of range.
+    pub(crate) fn move_spin(
+        &mut self,
+        order: usize,
+        from_city: usize,
+        to_city: usize,
+    ) -> Result<(), XbarError> {
+        self.check_order(order)?;
+        self.check_city(from_city)?;
+        self.check_city(to_city)?;
+        let col = self.geometry.spin_storage_start() + order;
+        debug_assert!(
+            (0..self.geometry.rows).all(|city| {
+                (self.cells[self.cell_index(city, col)] == MagState::Parallel)
+                    == (city == from_city)
+            }),
+            "order {order} must hold exactly city {from_city}"
+        );
+        let from = self.cell_index(from_city, col);
+        self.cells[from] = MagState::AntiParallel;
+        self.refresh_conductance(from_city, col);
+        let to = self.cell_index(to_city, col);
+        self.cells[to] = MagState::Parallel;
+        self.refresh_conductance(to_city, col);
+        self.write_ops += self.geometry.rows as u64 + 1;
         Ok(())
     }
 
@@ -432,10 +482,35 @@ impl CrossbarArray {
     /// per-city currents into a caller-provided slice (one entry per city) instead of
     /// allocating.
     ///
+    /// When `row_vector` equals the previous call's and the weights have not been
+    /// reprogrammed since, the stored currents of that call are copied instead of
+    /// recomputed; they are bit-identical to what
+    /// [`weighted_column_currents_uncached_into`](Self::weighted_column_currents_uncached_into)
+    /// would return. Every call counts as one read operation either way.
+    ///
     /// # Panics
     ///
     /// Panics if `row_vector.len()` or `out.len()` differs from the number of rows.
     pub fn weighted_column_currents_into(&mut self, row_vector: &[bool], out: &mut [f64]) {
+        if self.mac_memo_valid && self.mac_key == row_vector {
+            out.copy_from_slice(&self.mac_memo);
+            self.read_ops += 1;
+            return;
+        }
+        self.weighted_column_currents_uncached_into(row_vector, out);
+        self.mac_key.copy_from_slice(row_vector);
+        self.mac_memo.copy_from_slice(out);
+        self.mac_memo_valid = true;
+    }
+
+    /// The MAC kernel itself: always evaluates the weight partitions for `row_vector`,
+    /// bypassing (and leaving untouched) the memo of
+    /// [`weighted_column_currents_into`](Self::weighted_column_currents_into).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row_vector.len()` or `out.len()` differs from the number of rows.
+    pub fn weighted_column_currents_uncached_into(&mut self, row_vector: &[bool], out: &mut [f64]) {
         assert_eq!(
             row_vector.len(),
             self.geometry.rows,

@@ -147,10 +147,17 @@ pub struct IsingMacro {
     counts: MacroOpCounts,
     /// The quantised weights currently programmed, kept for in-place remapping.
     weights: QuantizedDistances,
-    /// Reusable per-step buffers (assignment readout, row currents, latched binary
-    /// vector input, per-city MAC currents, gated currents): one optimisation step
-    /// performs no heap allocation.
-    assignment_buf: Vec<usize>,
+    /// Host-side shadow of the spin storage: `assignment[order] = city` and its
+    /// inverse `order_of[city] = order`. Set by [`initialize_order`](Self::initialize_order),
+    /// updated at every swap, and rebuilt from the array only while `shadow_valid` is
+    /// false, so a step needs no O(n²) spin-storage scan. Debug builds check it against
+    /// the array after every swap.
+    assignment: Vec<usize>,
+    order_of: Vec<usize>,
+    shadow_valid: bool,
+    /// Reusable per-step buffers (row currents, latched binary vector input, per-city
+    /// MAC currents, gated currents): one optimisation step performs no heap
+    /// allocation.
     row_buf: Vec<f64>,
     binary_buf: Vec<bool>,
     city_buf: Vec<f64>,
@@ -193,7 +200,9 @@ impl IsingMacro {
             argmax,
             counts: MacroOpCounts::default(),
             weights,
-            assignment_buf: Vec::with_capacity(n),
+            assignment: Vec::with_capacity(n),
+            order_of: vec![0; n],
+            shadow_valid: false,
             row_buf: vec![0.0; n],
             binary_buf: vec![false; n],
             city_buf: vec![0.0; n],
@@ -258,7 +267,40 @@ impl IsingMacro {
     ///
     /// Returns an error if `assignment` is not a permutation of the macro's cities.
     pub fn initialize_order(&mut self, assignment: &[usize]) -> Result<(), XbarError> {
-        self.array.write_assignment(assignment)
+        self.shadow_valid = false;
+        self.array.write_assignment(assignment)?;
+        self.assignment.clear();
+        self.assignment.extend_from_slice(assignment);
+        self.index_shadow();
+        Ok(())
+    }
+
+    /// Makes the shadow assignment current, reading the spin storage only when it
+    /// is unset.
+    fn ensure_shadow(&mut self) -> Result<(), XbarError> {
+        if !self.shadow_valid {
+            self.array.read_assignment_into(&mut self.assignment)?;
+            self.index_shadow();
+        }
+        Ok(())
+    }
+
+    /// Derives the inverse from the shadow assignment and marks the shadow current.
+    fn index_shadow(&mut self) {
+        for (order, &city) in self.assignment.iter().enumerate() {
+            self.order_of[city] = order;
+        }
+        self.shadow_valid = true;
+    }
+
+    /// Whether the shadow assignment equals the spin storage (debug check).
+    fn shadow_matches_array(&self) -> bool {
+        let n = self.num_cities();
+        (0..n).all(|order| {
+            let city = self.assignment[order];
+            self.order_of[city] == order
+                && (0..n).all(|c| self.array.spin(c, order) == Ok(c == city))
+        })
     }
 
     /// Reads the current visiting order (`result[order] = city`) out of the spin storage.
@@ -279,6 +321,14 @@ impl IsingMacro {
     /// Same error conditions as [`read_solution`](Self::read_solution).
     pub fn read_solution_into(&self, out: &mut Vec<usize>) -> Result<(), XbarError> {
         self.array.read_assignment_into(out)
+    }
+
+    /// The host-side shadow of the spin storage (`result[order] = city`) that steps
+    /// read instead of scanning the array; `None` until the first
+    /// [`initialize_order`](Self::initialize_order) or step sets it. It always equals
+    /// [`read_solution`](Self::read_solution) once set.
+    pub fn shadow_assignment(&self) -> Option<&[usize]> {
+        self.shadow_valid.then_some(self.assignment.as_slice())
     }
 
     /// City currently assigned to `order`.
@@ -348,7 +398,7 @@ impl IsingMacro {
                 len: n,
             });
         }
-        self.array.read_assignment_into(&mut self.assignment_buf)?;
+        self.ensure_shadow()?;
         let prev_order = (order + n - 1) % n;
         let next_order = (order + 1) % n;
 
@@ -367,9 +417,9 @@ impl IsingMacro {
 
         // A city cannot be its own neighbour: suppress the cities already occupying the
         // neighbouring orders so the winner is a genuine intermediate stop.
-        self.city_buf[self.assignment_buf[prev_order]] = 0.0;
+        self.city_buf[self.assignment[prev_order]] = 0.0;
         if next_order != prev_order {
-            self.city_buf[self.assignment_buf[next_order]] = 0.0;
+            self.city_buf[self.assignment[next_order]] = 0.0;
         }
         // Suppress explicitly forbidden cities (e.g. fixed sub-problem endpoints).
         for &city in forbidden_cities {
@@ -390,22 +440,26 @@ impl IsingMacro {
             Some(city) => city,
             None => match self.argmax.winner(&self.city_buf, rng) {
                 Some(city) => city,
-                None => self.assignment_buf[order],
+                None => self.assignment[order],
             },
         };
 
-        // Phase 5: spin-storage update with permutation-preserving swap.
-        let incumbent = self.assignment_buf[order];
+        // Phase 5: spin-storage update with permutation-preserving swap. Each touched
+        // column is reset and rewritten (counted as such), but only the two cells per
+        // column whose state changes are actually rewritten.
+        let incumbent = self.assignment[order];
         if winner != incumbent {
-            let winner_old_order = self
-                .assignment_buf
-                .iter()
-                .position(|&c| c == winner)
-                .expect("winner must currently occupy some order");
-            self.array.reset_order_column(order)?;
-            self.array.write_spin(winner, order, true)?;
-            self.array.reset_order_column(winner_old_order)?;
-            self.array.write_spin(incumbent, winner_old_order, true)?;
+            let winner_old_order = self.order_of[winner];
+            self.array.move_spin(order, incumbent, winner)?;
+            self.array.move_spin(winner_old_order, winner, incumbent)?;
+            self.assignment[order] = winner;
+            self.assignment[winner_old_order] = incumbent;
+            self.order_of[winner] = order;
+            self.order_of[incumbent] = winner_old_order;
+            debug_assert!(
+                self.shadow_matches_array(),
+                "shadow assignment diverged from the spin storage"
+            );
         }
         self.counts.update_ops += 1;
         self.counts.order_steps += 1;

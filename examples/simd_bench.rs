@@ -232,7 +232,7 @@ fn bench_crossbar_mac(scale: &Scale) -> KernelResult {
     let mut before_out = vec![0.0f64; n];
     let mut after_out = vec![0.0f64; n];
     mac_scalar_reference(&array, &row_vector, &mut before_out);
-    array.weighted_column_currents_into(&row_vector, &mut after_out);
+    array.weighted_column_currents_uncached_into(&row_vector, &mut after_out);
     assert_eq!(
         before_out, after_out,
         "chunked MAC must be bit-identical to the scalar reference"
@@ -244,7 +244,7 @@ fn bench_crossbar_mac(scale: &Scale) -> KernelResult {
             black_box(&before_out);
         }),
         after_ns: ns_per_op(scale.mac_iters, || {
-            array.weighted_column_currents_into(black_box(&row_vector), &mut after_out);
+            array.weighted_column_currents_uncached_into(black_box(&row_vector), &mut after_out);
             black_box(&after_out);
         }),
     }

@@ -12,7 +12,7 @@
 //! solves across all four backends.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use taxi::{SolveContext, SolverBackend, SolverScratch, TaxiConfig, TaxiSolver};
 use taxi_cluster::{EndpointFixer, Hierarchy, Point};
@@ -24,21 +24,30 @@ use taxi_tsplib::TspInstance;
 /// allocator.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+// Per-thread counter (const-init `Cell<u64>` has no destructor and never
+// allocates itself): sibling tests running concurrently in this binary
+// allocate on their own threads and cannot pollute a measured region.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -50,8 +59,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drives one full pass of the level-solve loop (the body of the pipeline's

@@ -12,28 +12,38 @@
 //! measured region.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use taxi::{SolutionCache, SolveProvenance, SolverBackend, TaxiConfig, TaxiSolver};
+use taxi_tsplib::fingerprint::canonical_fingerprint;
 use taxi_tsplib::generator::clustered_instance;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+// Per-thread counter (const-init `Cell<u64>` has no destructor and never
+// allocates itself): sibling tests running concurrently in this binary
+// allocate on their own threads and cannot pollute a measured region.
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -45,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
@@ -109,9 +120,16 @@ fn raw_lookup_hits_do_not_allocate() {
         cache.lookup(token, &instance),
         taxi::CacheLookup::Hit(_)
     ));
+    // The fleet's admission path: the routing fingerprint is handed to the probe.
+    let (canonical, _) = canonical_fingerprint(&instance);
     let before = allocations();
     for _ in 0..64 {
         let taxi::CacheLookup::Hit(hit) = cache.lookup(token, &instance) else {
+            panic!("warm cache must hit");
+        };
+        assert!(!hit.remapped);
+        let taxi::CacheLookup::Hit(hit) = cache.lookup_fingerprinted(token, canonical, &instance)
+        else {
             panic!("warm cache must hit");
         };
         assert!(!hit.remapped);
