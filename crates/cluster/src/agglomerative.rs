@@ -8,9 +8,20 @@
 //! Δ(i, j) = (n_i · n_j) / (n_i + n_j) · ‖c_i − c_j‖²
 //! ```
 //!
-//! The nearest-neighbour chain algorithm builds the full dendrogram in O(n²) time and
-//! O(n) memory (Ward linkage is reducible, so chain merges produce the same dendrogram as
-//! greedy merging). The dendrogram is then cut into the requested number of clusters.
+//! The nearest-neighbour chain algorithm builds the full dendrogram in O(n) memory (Ward
+//! linkage is reducible, so chain merges produce the same dendrogram as greedy merging).
+//! The dendrogram is then cut into the requested number of clusters.
+//!
+//! Every chain step asks for the nearest live neighbour of the chain's top. A linear scan
+//! answers that in O(n), so a whole run costs O(n²). Instead, a uniform grid over the live
+//! centroids answers it by scanning rings of cells outward from the query until a lower
+//! bound on every farther cluster's delta exceeds the best one found; on spread-out
+//! inputs a query then touches a few cells. An exact tie keeps the smaller index, which
+//! is the linear scan's first-minimum rule, so every merge (pair and delta bits) is the
+//! one the linear scan makes. The scan remains as the fallback: while fewer than 64
+//! clusters are live, when the rings would cover more than four cells per live cluster,
+//! and for inputs with a non-finite coordinate (or a magnitude or spread outside
+//! 10^±100, where the grid's rounding slack would not hold).
 //!
 //! For very large inputs (beyond [`AgglomerativeConfig::max_exact_points`]) the points
 //! are first divided into spatially compact chunks with a recursive median split and the
@@ -25,7 +36,7 @@ use crate::{ClusterError, Point};
 pub struct AgglomerativeConfig {
     /// Desired number of clusters.
     pub target_clusters: usize,
-    /// Largest input size handled by the exact O(n²) algorithm; larger inputs are chunked
+    /// Largest input size handled by one exact NN-chain run; larger inputs are chunked
     /// first.
     pub max_exact_points: usize,
     /// Chunk size used by the divisive pre-partition for very large inputs.
@@ -103,8 +114,14 @@ pub fn agglomerative_clusters(
         });
     }
     let all_indices: Vec<usize> = (0..points.len()).collect();
+    let mut scratch = WardScratch::default();
     if points.len() <= config.max_exact_points {
-        return Ok(ward_cut(points, &all_indices, config.target_clusters));
+        return Ok(ward_cut(
+            points,
+            &all_indices,
+            config.target_clusters,
+            &mut scratch,
+        ));
     }
 
     // Divisive pre-partition: split into spatially compact chunks, then run the exact
@@ -113,23 +130,17 @@ pub fn agglomerative_clusters(
     let total = points.len() as f64;
     let mut clusters = Vec::with_capacity(config.target_clusters);
     let mut remaining_clusters = config.target_clusters;
-    let mut remaining_points = points.len();
     for chunk in &chunks {
         let share = ((chunk.len() as f64 / total) * config.target_clusters as f64).round() as usize;
-        let k = share
-            .max(1)
-            .min(chunk.len())
-            .min(remaining_clusters.saturating_sub(0).max(1));
-        clusters.extend(ward_cut(points, chunk, k));
+        let k = share.max(1).min(chunk.len()).min(remaining_clusters.max(1));
+        clusters.extend(ward_cut(points, chunk, k, &mut scratch));
         remaining_clusters = remaining_clusters.saturating_sub(k);
-        remaining_points -= chunk.len();
-        let _ = remaining_points;
     }
     Ok(clusters)
 }
 
 /// One merge of the dendrogram.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Merge {
     a: usize,
     b: usize,
@@ -138,12 +149,17 @@ struct Merge {
 
 /// Runs exact NN-chain Ward clustering over the points selected by `indices` and cuts the
 /// dendrogram into `k` clusters. Returns member lists in terms of the original indices.
-fn ward_cut(points: &[Point], indices: &[usize], k: usize) -> Vec<Vec<usize>> {
+fn ward_cut(
+    points: &[Point],
+    indices: &[usize],
+    k: usize,
+    scratch: &mut WardScratch,
+) -> Vec<Vec<usize>> {
     let n = indices.len();
     if k >= n {
         return indices.iter().map(|&i| vec![i]).collect();
     }
-    let merges = nn_chain_dendrogram(points, indices);
+    let merges = nn_chain_dendrogram(points, indices, scratch, NnSearch::Grid);
 
     // Cut: apply the n - k merges with the smallest Ward deltas (Ward is monotonic, so
     // this equals cutting the dendrogram at k clusters).
@@ -168,79 +184,120 @@ fn ward_cut(points: &[Point], indices: &[usize], k: usize) -> Vec<Vec<usize>> {
     groups.into_values().collect()
 }
 
-/// Builds the full Ward dendrogram with the nearest-neighbour chain algorithm.
-/// Cluster identities in the returned merges refer to *local* leaf indices (0..n); merged
-/// clusters reuse the representative leaf index of one of their members via union-find at
-/// cut time, so each merge records one representative leaf per side.
-fn nn_chain_dendrogram(points: &[Point], indices: &[usize]) -> Vec<Merge> {
-    let n = indices.len();
-    #[derive(Clone, Copy)]
-    struct Active {
-        centroid: Point,
-        size: f64,
-        /// Representative local leaf index for the cut phase.
-        leaf: usize,
-    }
-    let mut active: Vec<Option<Active>> = indices
-        .iter()
-        .enumerate()
-        .map(|(local, &global)| {
-            Some(Active {
-                centroid: points[global],
-                size: 1.0,
-                leaf: local,
-            })
-        })
-        .collect();
-    let mut alive: Vec<usize> = (0..n).collect();
-    let mut merges = Vec::with_capacity(n.saturating_sub(1));
-    let mut chain: Vec<usize> = Vec::new();
+/// Below this many live clusters the nearest-neighbour query scans them all.
+const GRID_MIN_LIVE: usize = 64;
 
-    let ward = |a: &Active, b: &Active| -> f64 {
-        (a.size * b.size) / (a.size + b.size) * a.centroid.squared_distance(&b.centroid)
-    };
+/// The grid runs only on inputs whose coordinates all lie within this magnitude. It
+/// rejects NaN and ±∞ (the linear scan then reproduces the poisoned-input behaviour
+/// exactly), and it keeps every Ward delta and centroid finite, so the grid's
+/// distance bound never meets an overflow.
+const GRID_COORD_LIMIT: f64 = 1e100;
+
+/// Relative slack of the ring lower bound: it absorbs the rounding of the cell
+/// assignment and of the Ward delta itself, many orders of magnitude above both.
+const BOUND_SLACK: f64 = 1.0 - 1e-9;
+
+/// How [`nn_chain_dendrogram`] finds each nearest neighbour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum NnSearch {
+    /// Ring search of the centroid grid, falling back to the scan when it cannot help.
+    Grid,
+    /// Scan every live cluster (the reference the grid must reproduce).
+    #[cfg(test)]
+    Linear,
+}
+
+/// Scratch of one [`agglomerative_clusters`] call, reused by every chunk.
+#[derive(Debug, Default)]
+struct WardScratch {
+    /// Centroid of each local cluster (valid while its size is non-zero).
+    centroids: Vec<Point>,
+    /// Member count of each local cluster; 0 marks a cluster merged away.
+    sizes: Vec<f64>,
+    /// Live clusters in ascending order, kept only while the linear scan runs.
+    alive: Vec<usize>,
+    chain: Vec<usize>,
+    grid: CentroidGrid,
+}
+
+/// Ward delta of merging the cluster at `ca` of size `sa` with the one at `cb` of `sb`.
+#[inline]
+fn ward(ca: Point, sa: f64, cb: Point, sb: f64) -> f64 {
+    #[cfg(test)]
+    tests::WARD_EVALS.with(|evals| evals.set(evals.get() + 1));
+    (sa * sb) / (sa + sb) * ca.squared_distance(&cb)
+}
+
+/// Builds the full Ward dendrogram with the nearest-neighbour chain algorithm.
+/// Cluster identities in the returned merges refer to *local* leaf indices (0..n): a
+/// merged cluster keeps the index of the chain's top, so each merge records the
+/// surviving index and the absorbed one.
+///
+/// Each chain step needs the nearest live neighbour of the chain's top under Ward's
+/// delta, the first minimum in ascending index order. [`NnSearch::Grid`] answers it
+/// from a [`CentroidGrid`] by scanning rings of cells outward from the query's cell
+/// until a lower bound on every farther cluster's delta exceeds the best found; an
+/// exact tie keeps the smaller index, so it returns exactly the linear scan's answer.
+/// The search falls back to that scan while fewer than [`GRID_MIN_LIVE`] clusters are
+/// live, when the rings would cover more than four cells per live cluster, and for
+/// the whole run when a coordinate is not finite or beyond [`GRID_COORD_LIMIT`] (or
+/// the grid cannot be laid, see [`CentroidGrid::build`]). On spread-out inputs a query
+/// then costs a few cells instead of O(n) deltas.
+fn nn_chain_dendrogram(
+    points: &[Point],
+    indices: &[usize],
+    scratch: &mut WardScratch,
+    search: NnSearch,
+) -> Vec<Merge> {
+    let n = indices.len();
+    let WardScratch {
+        centroids,
+        sizes,
+        alive,
+        chain,
+        grid,
+    } = scratch;
+    centroids.clear();
+    centroids.extend(indices.iter().map(|&global| points[global]));
+    sizes.clear();
+    sizes.resize(n, 1.0);
+    chain.clear();
+    let mut live = n;
+    let mut use_grid = search == NnSearch::Grid
+        && n >= GRID_MIN_LIVE
+        && n < NIL as usize
+        && centroids
+            .iter()
+            .all(|p| p.x.abs() <= GRID_COORD_LIMIT && p.y.abs() <= GRID_COORD_LIMIT)
+        && grid.build(centroids, sizes, live);
+    alive.clear();
+    if !use_grid {
+        alive.extend(0..n);
+    }
+    // Smallest index that may still be live: where an empty chain restarts.
+    let mut first = 0;
+    let mut merges = Vec::with_capacity(n.saturating_sub(1));
 
     while merges.len() + 1 < n {
         if chain.is_empty() {
-            chain.push(*alive.first().expect("at least two clusters remain"));
+            while sizes[first] == 0.0 {
+                first += 1;
+            }
+            chain.push(first);
         }
         let current = *chain.last().expect("chain is non-empty");
-        let current_cluster = active[current].expect("chain entries are alive");
-        // Nearest alive neighbour of `current` under total order (first minimum wins;
-        // NaN deltas sort above +∞ so they are never selected). The scan is
-        // lane-chunked: Ward deltas land in fixed-width array temporaries, then fold
-        // into the running best — identical to a sequential scan because every
-        // comparison is exact.
-        let mut best = usize::MAX;
-        let mut best_delta = f64::INFINITY;
-        let chunks = alive.chunks_exact(taxi_dist::LANES);
-        let tail_start = alive.len() - chunks.remainder().len();
-        for (c, chunk) in chunks.enumerate() {
-            let mut deltas = [f64::NAN; taxi_dist::LANES];
-            for l in 0..taxi_dist::LANES {
-                let other = chunk[l];
-                if other != current {
-                    deltas[l] = ward(&current_cluster, &active[other].expect("alive cluster"));
-                }
+        let found = if use_grid {
+            grid.nearest(current, centroids, sizes, live)
+        } else {
+            None
+        };
+        let (best, best_delta) = found.unwrap_or_else(|| {
+            if use_grid {
+                alive.clear();
+                alive.extend((0..n).filter(|&c| sizes[c] > 0.0));
             }
-            for (l, &delta) in deltas.iter().enumerate() {
-                if delta.total_cmp(&best_delta) == std::cmp::Ordering::Less {
-                    best_delta = delta;
-                    best = chunk[l];
-                    debug_assert_eq!(alive[c * taxi_dist::LANES + l], chunk[l]);
-                }
-            }
-        }
-        for &other in &alive[tail_start..] {
-            if other == current {
-                continue;
-            }
-            let delta = ward(&current_cluster, &active[other].expect("alive cluster"));
-            if delta.total_cmp(&best_delta) == std::cmp::Ordering::Less {
-                best_delta = delta;
-                best = other;
-            }
-        }
+            linear_nearest(current, alive, centroids, sizes)
+        });
         // Non-finite geometry (NaN/∞ coordinates) produces NaN Ward deltas for every
         // neighbour, leaving `best` unset. Fail fast with a diagnosable message: the
         // fleet's crash containment expects poisoned instances to panic inside the
@@ -252,32 +309,259 @@ fn nn_chain_dendrogram(points: &[Point], indices: &[usize]) -> Vec<Merge> {
         );
         let reciprocal = chain.len() >= 2 && chain[chain.len() - 2] == best;
         if reciprocal {
-            // Merge `current` and `best`.
+            // Merge `best` into `current`.
             chain.pop();
             chain.pop();
-            let a = active[current].expect("alive");
-            let b = active[best].expect("alive");
-            let merged = Active {
-                centroid: Point::new(
-                    (a.centroid.x * a.size + b.centroid.x * b.size) / (a.size + b.size),
-                    (a.centroid.y * a.size + b.centroid.y * b.size) / (a.size + b.size),
-                ),
-                size: a.size + b.size,
-                leaf: a.leaf,
-            };
+            let (a, sa) = (centroids[current], sizes[current]);
+            let (b, sb) = (centroids[best], sizes[best]);
+            centroids[current] = Point::new(
+                (a.x * sa + b.x * sb) / (sa + sb),
+                (a.y * sa + b.y * sb) / (sa + sb),
+            );
+            sizes[current] = sa + sb;
+            sizes[best] = 0.0;
+            live -= 1;
             merges.push(Merge {
-                a: a.leaf,
-                b: b.leaf,
+                a: current,
+                b: best,
                 delta: best_delta,
             });
-            active[current] = Some(merged);
-            active[best] = None;
-            alive.retain(|&c| c != best);
+            if use_grid {
+                grid.remove(best);
+                grid.remove(current);
+                if live < GRID_MIN_LIVE {
+                    use_grid = false;
+                } else if live * 4 < grid.built_for {
+                    use_grid = grid.build(centroids, sizes, live);
+                } else {
+                    grid.insert(current, centroids[current]);
+                }
+                if !use_grid {
+                    alive.clear();
+                    alive.extend((0..n).filter(|&c| sizes[c] > 0.0));
+                }
+            } else {
+                alive.retain(|&c| c != best);
+            }
         } else {
             chain.push(best);
         }
     }
     merges
+}
+
+/// Nearest live neighbour of `current` by scanning every entry of `alive` (ascending):
+/// the first minimum under total order wins, and NaN deltas sort above +∞ so they are
+/// never selected. Returns `usize::MAX` when no delta is finite. The scan is
+/// lane-chunked: Ward deltas land in fixed-width array temporaries, then fold into the
+/// running best, identical to a sequential scan because every comparison is exact.
+fn linear_nearest(
+    current: usize,
+    alive: &[usize],
+    centroids: &[Point],
+    sizes: &[f64],
+) -> (usize, f64) {
+    let (cc, cs) = (centroids[current], sizes[current]);
+    let mut best = usize::MAX;
+    let mut best_delta = f64::INFINITY;
+    let chunks = alive.chunks_exact(taxi_dist::LANES);
+    let tail_start = alive.len() - chunks.remainder().len();
+    for chunk in chunks {
+        let mut deltas = [f64::NAN; taxi_dist::LANES];
+        for l in 0..taxi_dist::LANES {
+            let other = chunk[l];
+            if other != current {
+                deltas[l] = ward(cc, cs, centroids[other], sizes[other]);
+            }
+        }
+        for (l, &delta) in deltas.iter().enumerate() {
+            if delta.total_cmp(&best_delta) == std::cmp::Ordering::Less {
+                best_delta = delta;
+                best = chunk[l];
+            }
+        }
+    }
+    for &other in &alive[tail_start..] {
+        if other == current {
+            continue;
+        }
+        let delta = ward(cc, cs, centroids[other], sizes[other]);
+        if delta.total_cmp(&best_delta) == std::cmp::Ordering::Less {
+            best_delta = delta;
+            best = other;
+        }
+    }
+    (best, best_delta)
+}
+
+/// End of a cell list.
+const NIL: u32 = u32::MAX;
+
+/// Uniform grid over the live cluster centroids of one NN-chain run.
+///
+/// Each cell holds an intrusive doubly linked list of its clusters, stored in flat
+/// arrays: `head` per cell and `next` / `prev` / `cell` per local cluster, so a merge
+/// unlinks two clusters and links the merged one in O(1). The cell side is chosen for
+/// about two clusters per cell (`sqrt(2 · bbox_area / live)`, widened on degenerate
+/// boxes so there are never many more cells than clusters), and the grid is rebuilt
+/// over the live centroids once their count falls below a quarter of what it was built
+/// for. The arrays keep their capacity from one build (and one chunk) to the next.
+#[derive(Debug, Default)]
+struct CentroidGrid {
+    head: Vec<u32>,
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    cell: Vec<u32>,
+    origin: Point,
+    side: f64,
+    cols: usize,
+    rows: usize,
+    /// Live clusters when the grid was last built.
+    built_for: usize,
+}
+
+impl CentroidGrid {
+    /// Lays the grid over the bounding box of the `live` clusters (non-zero size) and
+    /// inserts them. Returns `false`, leaving the grid unusable, when the cell side
+    /// would not be a normal float well above the scale of rounding (all centroids
+    /// coincide, or their spread is below `1 / GRID_COORD_LIMIT`, where the bound's
+    /// relative slack would not cover subnormal rounding); the linear scan answers
+    /// instead.
+    fn build(&mut self, centroids: &[Point], sizes: &[f64], live: usize) -> bool {
+        let (mut lo, mut hi) = (
+            Point::new(f64::INFINITY, f64::INFINITY),
+            Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY),
+        );
+        for (p, &size) in centroids.iter().zip(sizes.iter()) {
+            if size > 0.0 {
+                lo = Point::new(lo.x.min(p.x), lo.y.min(p.y));
+                hi = Point::new(hi.x.max(p.x), hi.y.max(p.y));
+            }
+        }
+        let (width, height) = (hi.x - lo.x, hi.y - lo.y);
+        let live_f = live as f64;
+        let side = (2.0 * width * height / live_f)
+            .sqrt()
+            .max(width.max(height) / live_f);
+        if !(side.is_finite() && side > 1.0 / GRID_COORD_LIMIT) {
+            return false;
+        }
+        self.origin = lo;
+        self.side = side;
+        self.cols = (width / side) as usize + 1;
+        self.rows = (height / side) as usize + 1;
+        self.built_for = live;
+        self.head.clear();
+        self.head.resize(self.cols * self.rows, NIL);
+        for list in [&mut self.next, &mut self.prev, &mut self.cell] {
+            list.clear();
+            list.resize(centroids.len(), NIL);
+        }
+        for (c, (&p, &size)) in centroids.iter().zip(sizes.iter()).enumerate() {
+            if size > 0.0 {
+                self.insert(c, p);
+            }
+        }
+        true
+    }
+
+    /// Links cluster `c` with centroid `p` into the list of `p`'s cell.
+    fn insert(&mut self, c: usize, p: Point) {
+        // Coordinates are bounded (see GRID_COORD_LIMIT), so the float-to-int casts
+        // saturate only on rounding just outside the box; `min` keeps the far edge.
+        let cx = (((p.x - self.origin.x) / self.side) as usize).min(self.cols - 1);
+        let cy = (((p.y - self.origin.y) / self.side) as usize).min(self.rows - 1);
+        let cell = cy * self.cols + cx;
+        let old = self.head[cell];
+        self.cell[c] = cell as u32;
+        self.next[c] = old;
+        self.prev[c] = NIL;
+        if old != NIL {
+            self.prev[old as usize] = c as u32;
+        }
+        self.head[cell] = c as u32;
+    }
+
+    /// Unlinks cluster `c` from its cell's list.
+    fn remove(&mut self, c: usize) {
+        let (prev, next) = (self.prev[c], self.next[c]);
+        if prev == NIL {
+            self.head[self.cell[c] as usize] = next;
+        } else {
+            self.next[prev as usize] = next;
+        }
+        if next != NIL {
+            self.prev[next as usize] = prev;
+        }
+    }
+
+    /// Nearest live neighbour of `query` (first minimum of the Ward delta in index
+    /// order), or `None` when the rings needed would cover more than four cells per
+    /// live cluster and the linear scan is cheaper.
+    ///
+    /// A cluster whose cell is `r` Chebyshev rings out lies at least `(r − 1) · side`
+    /// away, and `s·t / (s + t) ≥ s / (s + 1)` for any size `t ≥ 1`, so before ring
+    /// `r ≥ 2` every remaining delta is at least `s / (s + 1) · ((r − 1) · side)²`.
+    fn nearest(
+        &self,
+        query: usize,
+        centroids: &[Point],
+        sizes: &[f64],
+        live: usize,
+    ) -> Option<(usize, f64)> {
+        let (qc, qs) = (centroids[query], sizes[query]);
+        let weight = qs / (qs + 1.0) * BOUND_SLACK;
+        let cell = self.cell[query] as usize;
+        let (qx, qy) = (cell % self.cols, cell / self.cols);
+        let max_ring = qx.max(self.cols - 1 - qx).max(qy).max(self.rows - 1 - qy);
+        let mut best = usize::MAX;
+        let mut best_delta = f64::INFINITY;
+        let scan_cell = |cell: usize, best: &mut usize, best_delta: &mut f64| {
+            let mut other = self.head[cell];
+            while other != NIL {
+                let o = other as usize;
+                if o != query {
+                    // Grid runs see only finite deltas, so an exact tie is bit-equal.
+                    let delta = ward(qc, qs, centroids[o], sizes[o]);
+                    match delta.total_cmp(best_delta) {
+                        std::cmp::Ordering::Less => (*best, *best_delta) = (o, delta),
+                        std::cmp::Ordering::Equal if o < *best => *best = o,
+                        _ => {}
+                    }
+                }
+                other = self.next[o];
+            }
+        };
+        for r in 0..=max_ring {
+            if r >= 2 {
+                let reach = (r - 1) as f64 * self.side;
+                if weight * reach * reach > best_delta {
+                    break;
+                }
+            }
+            let (x0, x1) = (qx.saturating_sub(r), (qx + r).min(self.cols - 1));
+            let (y0, y1) = (qy.saturating_sub(r), (qy + r).min(self.rows - 1));
+            if (x1 - x0 + 1) * (y1 - y0 + 1) > 4 * live {
+                return None;
+            }
+            for y in y0..=y1 {
+                let row = y * self.cols;
+                if y + r == qy || y == qy + r {
+                    for x in x0..=x1 {
+                        scan_cell(row + x, &mut best, &mut best_delta);
+                    }
+                } else {
+                    if qx >= r {
+                        scan_cell(row + qx - r, &mut best, &mut best_delta);
+                    }
+                    if qx + r < self.cols {
+                        scan_cell(row + qx + r, &mut best, &mut best_delta);
+                    }
+                }
+            }
+        }
+        Some((best, best_delta))
+    }
 }
 
 /// Recursively splits the points selected by `indices` along the axis of larger spread at
@@ -354,6 +638,124 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Ward delta evaluations on this thread (tests run on parallel threads).
+        pub(super) static WARD_EVALS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    /// Merges of one NN-chain run as `(survivor, absorbed, delta bits)`, plus the Ward
+    /// delta evaluations it took.
+    fn dendrogram(
+        points: &[Point],
+        indices: &[usize],
+        search: NnSearch,
+    ) -> (Vec<(usize, usize, u64)>, u64) {
+        let before = WARD_EVALS.with(Cell::get);
+        let merges = nn_chain_dendrogram(points, indices, &mut WardScratch::default(), search);
+        let evals = WARD_EVALS.with(Cell::get) - before;
+        let merges = merges
+            .iter()
+            .map(|m| (m.a, m.b, m.delta.to_bits()))
+            .collect();
+        (merges, evals)
+    }
+
+    /// Inputs that stress the grid's geometry: uniform, duplicate-heavy, collinear,
+    /// far-apart blobs, extreme aspect ratios and tiny spreads at large offsets.
+    fn oracle_points(kind: usize, n: usize, seed: u64) -> Vec<Point> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| match kind {
+                0 => Point::new(rng.gen_range(-200.0..200.0), rng.gen_range(-200.0..200.0)),
+                // Duplicate-heavy lattice: a few hundred sites for up to ~1k points.
+                1 => Point::new(rng.gen_range(0..12) as f64, rng.gen_range(0..12) as f64),
+                // Exactly horizontal, then diagonal, lines (zero-area bounding boxes).
+                2 => Point::new(rng.gen_range(0..400) as f64 * 0.5, 3.0),
+                3 => {
+                    let t = rng.gen_range(0.0..1.0);
+                    Point::new(t, 2.0 * t - 1.0)
+                }
+                // Far-apart blobs with tight spreads.
+                4 => {
+                    let blob = (i % 5) as f64;
+                    Point::new(
+                        blob * 1e6 + rng.gen_range(0.0..1.0),
+                        (blob * 7.0) % 3.0 * 1e6 + rng.gen_range(0.0..1.0),
+                    )
+                }
+                // 10^9 : 1 aspect ratio.
+                5 => Point::new(rng.gen_range(0.0..1e9), rng.gen_range(0.0..1.0)),
+                // Tiny spread at a large offset (cell assignment near rounding).
+                6 => Point::new(
+                    1e9 + rng.gen_range(0.0..1e-3),
+                    -1e9 + rng.gen_range(0.0..1e-3),
+                ),
+                // All points coincide: no grid can be laid.
+                7 => Point::new(5.0, 5.0),
+                // Spreads far below and far above the grid's working range.
+                8 => Point::new(rng.gen_range(0.0..1e-120), rng.gen_range(0.0..1e-120)),
+                9 => Point::new(rng.gen_range(0.0..1e120), rng.gen_range(0.0..1e120)),
+                // Integer lattice, every point distinct (many exact ties).
+                _ => {
+                    let side = (n as f64).sqrt().ceil() as usize;
+                    Point::new((i % side) as f64, (i / side) as f64)
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The grid search reproduces the linear scan merge for merge: same pair, same
+        /// delta bits, over every geometry of `oracle_points` and a shuffled subset of
+        /// indices (so local and global indices differ).
+        #[test]
+        fn grid_nn_chain_matches_linear_scan(
+            kind in 0usize..11,
+            n in 64usize..700,
+            seed in 0u64..1_000_000,
+        ) {
+            let points = oracle_points(kind, n, seed);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            let mut indices: Vec<usize> = (0..n).filter(|_| rng.gen_range(0..8) != 0).collect();
+            for i in (1..indices.len()).rev() {
+                indices.swap(i, rng.gen_range(0..=i));
+            }
+            let (grid, _) = dendrogram(&points, &indices, NnSearch::Grid);
+            let (linear, _) = dendrogram(&points, &indices, NnSearch::Linear);
+            prop_assert_eq!(grid, linear);
+        }
+    }
+
+    /// Pins the saving as a count, independent of host speed: on a 4,096-point lattice
+    /// the grid evaluates at most 15% of the linear scan's Ward deltas.
+    #[test]
+    fn grid_search_evaluates_a_fraction_of_the_deltas() {
+        let points = oracle_points(10, 4_096, 0);
+        let indices: Vec<usize> = (0..points.len()).collect();
+        let (grid, grid_evals) = dendrogram(&points, &indices, NnSearch::Grid);
+        let (linear, linear_evals) = dendrogram(&points, &indices, NnSearch::Linear);
+        assert_eq!(grid, linear);
+        assert!(
+            grid_evals * 100 <= linear_evals * 15,
+            "grid {grid_evals} vs linear {linear_evals} Ward deltas"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no finite Ward delta")]
+    fn non_finite_coordinate_panics_in_clustering() {
+        let mut points = oracle_points(0, 200, 1);
+        points[17] = Point::new(f64::NAN, 0.0);
+        let cfg = AgglomerativeConfig::new(10).unwrap();
+        let _ = agglomerative_clusters(&points, &cfg);
+    }
 
     fn blobs(centers: &[(f64, f64)], per_blob: usize, spread: f64) -> Vec<Point> {
         let mut pts = Vec::new();

@@ -10,8 +10,10 @@
 //!
 //! * [`Point`] — 2-D city coordinates,
 //! * [`agglomerative`] — Ward-linkage agglomerative clustering via the nearest-neighbour
-//!   chain algorithm (O(n²) time, O(n) memory), with a divisive pre-partition for very
-//!   large levels so that the 85 900-city instance remains tractable,
+//!   chain algorithm (O(n) memory; each nearest neighbour found through a uniform grid
+//!   over the live centroids, bit-identical to a linear scan), with a divisive
+//!   pre-partition for very large levels so that the 85 900-city instance remains
+//!   tractable,
 //! * [`kmeans`] — Lloyd's algorithm, used by the HVC-style baseline and for the
 //!   clustering ablation,
 //! * [`hierarchy`] — bottom-up hierarchy construction with a hard maximum cluster size,

@@ -131,11 +131,15 @@ impl HealthReport {
 /// Thresholds for the automatic probes.
 ///
 /// The rate probes (`deadline_miss_rate`, `shed_rate`, `cache_hit_floor`) judge
-/// **deltas between consecutive snapshots**, not lifetime totals, so a shard
-/// that recovers actually recovers: old badness ages out of the window
-/// immediately instead of haunting a lifetime average. Each rate probe stays
-/// silent (healthy, "window too small") until its window holds at least
-/// `min_window` observations — small windows make noisy verdicts.
+/// a **history window**, not lifetime totals: the counter deltas between the
+/// newest sample in the fleet's history store and the oldest sample of the
+/// shard's current generation at most [`lookback`](Self::lookback) behind it
+/// (a generation with no such older sample is judged on its totals since it
+/// started). A shard that recovers therefore recovers: old
+/// badness ages out once it falls behind the lookback instead of haunting a
+/// lifetime average. Each rate probe stays silent (healthy, "window too
+/// small") until its window holds at least `min_window` observations — small
+/// windows make noisy verdicts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HealthPolicy {
     /// Queue depth / capacity at or above this is unhealthy (default 0.9).

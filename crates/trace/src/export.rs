@@ -11,8 +11,10 @@
 //!   `tid`, and span attributes under `args`.
 //! * [`folded`] emits flamegraph-folded lines (`stack;frames count`) with a
 //!   synthetic stack from [`SpanName::folded_parent`]: pipeline stages nest
-//!   under `solve`, everything else under `request`; counts are total
-//!   microseconds. Feed to `inferno`/`flamegraph.pl`.
+//!   under `solve`, everything else under `request`; counts are self-time
+//!   microseconds (a stack's total minus its direct children's totals, floored
+//!   at zero), so a flamegraph tool that sums frames counts each microsecond
+//!   once. Feed to `inferno`/`flamegraph.pl`.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -83,7 +85,7 @@ pub fn chrome_trace(tracer: &Tracer) -> String {
 }
 
 /// Renders kept traces as flamegraph-folded text: one `stack count` line per
-/// distinct stack, counts in total microseconds (see module docs).
+/// distinct stack, counts in self-time microseconds (see module docs).
 pub fn folded(tracer: &Tracer) -> String {
     let (rings, kept) = kept_spans(tracer);
     // Aggregate µs per synthetic stack. The stack space is tiny (one path per
@@ -111,8 +113,17 @@ pub fn folded(tracer: &Tracer) -> String {
     }
     totals.sort();
     let mut out = String::new();
-    for (stack, us) in totals {
-        let _ = writeln!(out, "{stack} {us}");
+    for (stack, us) in &totals {
+        let children = totals
+            .iter()
+            .filter(|(child, _)| {
+                child
+                    .strip_prefix(stack.as_str())
+                    .and_then(|rest| rest.strip_prefix(';'))
+                    .is_some_and(|frame| !frame.contains(';'))
+            })
+            .fold(0u64, |sum, (_, child_us)| sum.saturating_add(*child_us));
+        let _ = writeln!(out, "{stack} {}", us.saturating_sub(children));
     }
     out
 }
@@ -187,9 +198,10 @@ mod tests {
     fn folded_nests_stages_under_solve() {
         let tracer = traced();
         let out = folded(&tracer);
+        // Self-time: request 700 - solve 500, solve 500 - stage_cluster 120.
         assert!(out.contains("request;solve;stage_cluster 120\n"), "{out}");
-        assert!(out.contains("request;solve 500\n"), "{out}");
-        assert!(out.contains("request 700\n"), "{out}");
+        assert!(out.contains("request;solve 380\n"), "{out}");
+        assert!(out.contains("request 200\n"), "{out}");
         // Exactly the kept trace's spans: 3 lines.
         assert_eq!(out.lines().count(), 3, "{out}");
     }
