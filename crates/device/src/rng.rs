@@ -8,6 +8,7 @@
 
 use rand::Rng;
 
+use crate::sot_mram::SwitchThreshold;
 use crate::{DeviceError, DeviceParams, MagState, SotMram, WriteCurrent};
 
 /// A single stochastic bit source backed by one SOT-MRAM device.
@@ -52,14 +53,19 @@ impl StochasticBitSource {
     ) -> Result<bool, DeviceError> {
         self.device.params().require_stochastic(current)?;
         let p = self.device.params().switching_probability(current);
-        Ok(self.sample_with_probability(p, rng))
+        Ok(self.sample_with_threshold(SwitchThreshold::new(p), rng))
     }
 
-    /// [`sample`](Self::sample) at a switching probability `p` already derived from a
+    /// [`sample`](Self::sample) at a switching threshold already derived from a
     /// validated in-window current: reset, one stochastic pulse, one draw.
-    fn sample_with_probability<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> bool {
+    #[inline]
+    fn sample_with_threshold<R: Rng + ?Sized>(
+        &mut self,
+        threshold: SwitchThreshold,
+        rng: &mut R,
+    ) -> bool {
         self.device.write_deterministic(MagState::AntiParallel);
-        let switched = self.device.flip_with_probability(p, rng);
+        let switched = self.device.flip_with_threshold(threshold, rng);
         self.samples_drawn += 1;
         switched
     }
@@ -159,16 +165,20 @@ impl StochasticVectorGenerator {
         mask: &mut Vec<bool>,
     ) -> Result<(), DeviceError> {
         mask.clear();
-        // Every unit of a pulse sees the same write current, so the window check and
-        // the sigmoid are evaluated once per pulse; each unit still draws its own bit,
-        // in unit order, exactly as a per-unit `sample` loop would.
+        // Every unit of a pulse sees the same write current, so the window check, the
+        // sigmoid and the switching threshold are evaluated once per pulse; each unit
+        // still draws its own bit, in unit order, exactly as a per-unit `sample` loop
+        // would.
         self.params.require_stochastic(current)?;
-        let p = self.params.switching_probability(current);
+        let threshold = SwitchThreshold::new(self.params.switching_probability(current));
+        let mut any = false;
         for unit in &mut self.units {
-            mask.push(unit.sample_with_probability(p, rng));
+            let switched = unit.sample_with_threshold(threshold, rng);
+            any |= switched;
+            mask.push(switched);
         }
         self.pulses_issued += 1;
-        if mask.iter().all(|&b| !b) {
+        if !any {
             mask.iter_mut().for_each(|b| *b = true);
         }
         Ok(())

@@ -42,6 +42,31 @@ impl MagState {
     }
 }
 
+/// A switching probability as an integer threshold on a 53-bit draw: the one place a
+/// stochastic pulse decides whether a device switched.
+///
+/// `gen_bool(p)` switches when `u · 2⁻⁵³ < p` for the draw `u = next_u64() >> 11`.
+/// Scaling by 2⁵³ is exact, and `u` is an integer, so that holds exactly when
+/// `u < ⌈p · 2⁵³⌉`. The threshold is computed once per pulse and every decision is an
+/// integer compare, with the same outcome and the same RNG words as `gen_bool(p)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SwitchThreshold(u64);
+
+impl SwitchThreshold {
+    /// The threshold for probability `p`, clamped to `[0, 1]` as `gen_bool` clamps it.
+    /// A NaN `p` never switches, as `u · 2⁻⁵³ < NaN` never holds.
+    pub(crate) fn new(p: f64) -> Self {
+        // The float-to-int cast saturates and maps NaN to 0.
+        Self((p.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// Draws one Bernoulli bit: one `next_u64`, exactly as `gen_bool` draws.
+    #[inline]
+    pub(crate) fn draw<R: Rng + ?Sized>(self, rng: &mut R) -> bool {
+        (rng.next_u64() >> 11) < self.0
+    }
+}
+
 /// A single 3T-1M SOT-MRAM cell's magnetic tunnel junction.
 ///
 /// The cell tracks its magnetisation state and exposes deterministic writes (used for the
@@ -154,16 +179,22 @@ impl SotMram {
         rng: &mut R,
     ) -> Result<bool, DeviceError> {
         self.params.require_stochastic(current)?;
-        Ok(self.flip_with_probability(self.params.switching_probability(current), rng))
+        let p = self.params.switching_probability(current);
+        Ok(self.flip_with_threshold(SwitchThreshold::new(p), rng))
     }
 
-    /// One stochastic write pulse whose switching probability `p` the caller has
-    /// already derived from a validated in-window current: draws one Bernoulli(`p`)
-    /// bit, counts the write and flips the state when the bit is set. Lets a mask
-    /// circuit whose units share one pulse validate and evaluate the sigmoid once.
-    pub(crate) fn flip_with_probability<R: Rng + ?Sized>(&mut self, p: f64, rng: &mut R) -> bool {
+    /// One stochastic write pulse whose switching probability the caller has already
+    /// derived from a validated in-window current: draws one Bernoulli bit, counts the
+    /// write and flips the state when the bit is set. Lets a mask circuit whose units
+    /// share one pulse validate, evaluate the sigmoid and derive the threshold once.
+    #[inline]
+    pub(crate) fn flip_with_threshold<R: Rng + ?Sized>(
+        &mut self,
+        threshold: SwitchThreshold,
+        rng: &mut R,
+    ) -> bool {
         self.write_count += 1;
-        let switched = rng.gen_bool(p.clamp(0.0, 1.0));
+        let switched = threshold.draw(rng);
         if switched {
             self.state = self.state.flipped();
         }
@@ -262,6 +293,62 @@ mod tests {
         assert_eq!(MagState::from_bit(true).as_bit(), 1);
         assert_eq!(MagState::from_bit(false).as_bit(), 0);
         assert_eq!(MagState::Parallel.flipped(), MagState::AntiParallel);
+    }
+
+    /// Returns one fixed word.
+    struct Fixed(u64);
+    impl rand::RngCore for Fixed {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Probabilities where an off-by-one in the threshold would show: 0, 1, exact
+    /// multiples of 2⁻⁵³ and their neighbouring doubles, and values outside `[0, 1]`.
+    fn edge_probabilities(k: u64) -> Vec<f64> {
+        let grid = k as f64 / (1u64 << 53) as f64;
+        let mut ps = vec![0.0, 1.0, -0.0, -1e-300, 1.5, f64::NAN, f64::INFINITY, grid];
+        for p in [0.0, 1.0, grid] {
+            let bits = p.to_bits();
+            ps.push(f64::from_bits(bits + 1));
+            if bits > 0 {
+                ps.push(f64::from_bits(bits - 1));
+            }
+        }
+        ps
+    }
+
+    proptest::proptest! {
+        /// The integer threshold decides exactly as `gen_bool(p)` does, for any word,
+        /// including words whose 53-bit draw sits right at the threshold.
+        #[test]
+        fn threshold_decision_equals_gen_bool(
+            p in 0.0f64..=1.0,
+            k in 0u64..=(1u64 << 53),
+            word in 0..=u64::MAX,
+        ) {
+            let mut ps = edge_probabilities(k);
+            ps.push(p);
+            for p in ps {
+                let t = SwitchThreshold::new(p);
+                let mut words = vec![word];
+                for draw in [t.0.saturating_sub(1), t.0, t.0 + 1, k] {
+                    if draw < 1u64 << 53 {
+                        words.push((draw << 11) | (word & 0x7ff));
+                    }
+                }
+                for w in words {
+                    proptest::prop_assert_eq!(
+                        t.draw(&mut Fixed(w)),
+                        Fixed(w).gen_bool(p),
+                        "p = {:e}, word = {:#x}", p, w
+                    );
+                }
+            }
+        }
     }
 
     #[test]

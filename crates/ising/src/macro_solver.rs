@@ -140,7 +140,6 @@ pub struct MacroScratch {
     config: Option<MacroSolverConfig>,
     initial: Vec<usize>,
     best: Vec<usize>,
-    snapshot: Vec<usize>,
     visited: Vec<bool>,
 }
 
@@ -248,7 +247,6 @@ impl MacroTspSolver {
             macros,
             initial,
             best,
-            snapshot,
             visited,
             ..
         } = scratch;
@@ -266,12 +264,12 @@ impl MacroTspSolver {
             let i_write = schedule.current_at(t);
             macro_.optimize_order(order, i_write, &mut rng)?;
             if self.config.elitist && (t + 1) % n == 0 {
-                macro_.read_solution_into(snapshot)?;
-                let length = cycle_length(distances, snapshot);
+                let current = elitist_snapshot(macro_);
+                let length = cycle_length(distances, current);
                 if length < best_length {
                     best_length = length;
                     best.clear();
-                    best.extend_from_slice(snapshot);
+                    best.extend_from_slice(current);
                 }
             }
         }
@@ -428,7 +426,6 @@ impl MacroTspSolver {
             macros,
             initial,
             best,
-            snapshot,
             visited,
             ..
         } = scratch;
@@ -449,12 +446,12 @@ impl MacroTspSolver {
             let i_write = schedule.current_at(t);
             macro_.optimize_order_constrained(order, i_write, &frozen, &mut rng)?;
             if self.config.elitist && (t + 1) % interior == 0 {
-                macro_.read_solution_into(snapshot)?;
-                let length = path_length(distances, snapshot);
+                let current = elitist_snapshot(macro_);
+                let length = path_length(distances, current);
                 if length < best_length {
                     best_length = length;
                     best.clear();
-                    best.extend_from_slice(snapshot);
+                    best.extend_from_slice(current);
                 }
             }
         }
@@ -578,6 +575,16 @@ pub fn nearest_neighbor_path_order_into(
     if n > 1 {
         out.push(end);
     }
+}
+
+/// The visiting order after a sweep, for the elitist comparison: the macro's host-side
+/// shadow of the spin storage, which equals a readout of the array but costs no O(n²)
+/// scan. The final solution is still read from the array, so corrupt spin storage
+/// still surfaces as an error there.
+fn elitist_snapshot(macro_: &IsingMacro) -> &[usize] {
+    macro_
+        .shadow_assignment()
+        .expect("an optimisation step leaves the shadow assignment set")
 }
 
 fn validate_matrix(distances: &DistanceMatrix) -> Result<usize, IsingError> {

@@ -90,6 +90,51 @@ impl Default for NonIdealityConfig {
     }
 }
 
+/// Slot of `state` in a cell's `[g_P, g_AP]` conductance pair.
+#[inline]
+fn state_slot(state: MagState) -> usize {
+    match state {
+        MagState::Parallel => 0,
+        MagState::AntiParallel => 1,
+    }
+}
+
+/// Effective conductance of cell `idx` at (`row`, `col`) in `state`: the state's
+/// device conductance times the cell's fixed variation factor, in series with the
+/// wire resistance up to the cell.
+fn cell_conductance(
+    params: &DeviceParams,
+    non_ideality: &NonIdealityConfig,
+    idx: usize,
+    row: usize,
+    col: usize,
+    state: MagState,
+) -> f64 {
+    // Deterministic pseudo-random variation pattern derived from the cell index; this
+    // keeps the array reproducible without threading an RNG through construction.
+    let variation = if non_ideality.conductance_variation == 0.0 {
+        1.0
+    } else {
+        // Simple hash → uniform in [-1, 1] → scaled.
+        let h = (idx as u64)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(31)
+            .wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
+        1.0 + (2.0 * u - 1.0) * non_ideality.conductance_variation
+    };
+    let base = match state {
+        MagState::Parallel => params.g_parallel(),
+        MagState::AntiParallel => params.g_antiparallel(),
+    } * variation;
+    let r_wire = non_ideality.wire_resistance_per_cell_ohms * ((row + col) as f64 + 1.0);
+    if r_wire <= 0.0 {
+        base
+    } else {
+        1.0 / (1.0 / base + r_wire)
+    }
+}
+
 /// An `N × N·(B+1)` crossbar of 3T-1M SOT-MRAM cells.
 ///
 /// The array exposes exactly the analogue operations the Ising macro needs:
@@ -132,18 +177,19 @@ impl Default for NonIdealityConfig {
 pub struct CrossbarArray {
     geometry: ArrayGeometry,
     params: DeviceParams,
-    non_ideality: NonIdealityConfig,
     /// Row-major cell states, `rows × columns`.
     cells: Vec<MagState>,
-    /// Per-cell fixed conductance perturbation factors (device-to-device variation).
-    variation: Vec<f64>,
-    /// Cached effective conductance per cell (state + variation + wire resistance).
+    /// Per-cell effective conductance of each state, `[g_P, g_AP]` (state + fixed
+    /// device-to-device variation + wire resistance), evaluated once in `new`. A cell
+    /// has only two states, so a write looks its value up here instead of evaluating
+    /// the formula's divisions again.
+    g_table: Vec<[f64; 2]>,
+    /// Cached effective conductance per cell: `g_table[cell][state]`.
     ///
-    /// The read kernels are the anneal loop's hot path; the conductance formula is
-    /// deterministic in the cell state, so it only needs re-evaluation at the mutation
-    /// points (`new`, `program_weights`, `write_spin`, `reset_order_column`,
-    /// `move_spin`) instead of once per MAC term. Values are identical to computing on
-    /// the fly.
+    /// The read kernels are the anneal loop's hot path; the conductance is fixed by the
+    /// cell state, so it only needs a refresh at the mutation points (`new`,
+    /// `program_weights`, `write_spin`, `reset_order_column`, `move_spin`) instead of a
+    /// lookup per MAC term. Values are identical to computing on the fly.
     g_eff: Vec<f64>,
     /// Reusable per-city scratch for assignment validation (no per-write allocation).
     seen_buf: Vec<bool>,
@@ -169,44 +215,30 @@ impl CrossbarArray {
     ) -> Self {
         let geometry = ArrayGeometry::new(rows, precision);
         let n_cells = geometry.cells();
-        // Deterministic pseudo-random variation pattern derived from cell index; this
-        // keeps the array reproducible without threading an RNG through construction.
-        let variation = (0..n_cells)
+        let columns = geometry.columns();
+        let g_table: Vec<[f64; 2]> = (0..n_cells)
             .map(|i| {
-                if non_ideality.conductance_variation == 0.0 {
-                    1.0
-                } else {
-                    // Simple hash → uniform in [-1, 1] → scaled.
-                    let h = (i as u64)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .rotate_left(31)
-                        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                    let u = (h >> 11) as f64 / (1u64 << 53) as f64; // [0, 1)
-                    1.0 + (2.0 * u - 1.0) * non_ideality.conductance_variation
-                }
+                let (row, col) = (i / columns, i % columns);
+                [MagState::Parallel, MagState::AntiParallel]
+                    .map(|state| cell_conductance(&params, &non_ideality, i, row, col, state))
             })
             .collect();
-        let mut array = Self {
+        Self {
             geometry,
             params,
-            non_ideality,
             cells: vec![MagState::AntiParallel; n_cells],
-            variation,
-            g_eff: vec![0.0; n_cells],
+            g_eff: g_table
+                .iter()
+                .map(|pair| pair[state_slot(MagState::AntiParallel)])
+                .collect(),
+            g_table,
             seen_buf: vec![false; rows],
             mac_key: vec![false; rows],
             mac_memo: vec![0.0; rows],
             mac_memo_valid: false,
             write_ops: 0,
             read_ops: 0,
-        };
-        let columns = array.geometry.columns();
-        for row in 0..rows {
-            for col in 0..columns {
-                array.refresh_conductance(row, col);
-            }
         }
-        array
     }
 
     /// The array geometry.
@@ -249,20 +281,12 @@ impl CrossbarArray {
         self.g_eff[self.cell_index(row, col)]
     }
 
-    /// Recomputes the cached effective conductance of one cell; must be called whenever
-    /// the cell's state changes.
+    /// Refreshes the cached effective conductance of one cell from its state; must be
+    /// called whenever the cell's state changes.
+    #[inline]
     fn refresh_conductance(&mut self, row: usize, col: usize) {
         let idx = self.cell_index(row, col);
-        let base = match self.cells[idx] {
-            MagState::Parallel => self.params.g_parallel(),
-            MagState::AntiParallel => self.params.g_antiparallel(),
-        } * self.variation[idx];
-        let r_wire = self.non_ideality.wire_resistance_per_cell_ohms * ((row + col) as f64 + 1.0);
-        self.g_eff[idx] = if r_wire <= 0.0 {
-            base
-        } else {
-            1.0 / (1.0 / base + r_wire)
-        };
+        self.g_eff[idx] = self.g_table[idx][state_slot(self.cells[idx])];
     }
 
     /// Programs the bit-sliced distance weights into the first `B` partitions.
@@ -849,5 +873,90 @@ mod tests {
         let reads_before = a.read_ops();
         let _ = a.weighted_column_currents(&[true, false, false, false]);
         assert_eq!(a.read_ops(), reads_before + 1);
+    }
+
+    /// Every cached conductance must equal [`cell_conductance`] evaluated fresh for the
+    /// cell's current state, bit for bit.
+    fn assert_conductances_fresh(a: &CrossbarArray, non_ideality: &NonIdealityConfig) {
+        let columns = a.num_columns();
+        for row in 0..a.num_rows() {
+            for col in 0..columns {
+                let idx = row * columns + col;
+                let fresh = cell_conductance(&a.params, non_ideality, idx, row, col, a.cells[idx]);
+                assert_eq!(
+                    a.effective_conductance(row, col).to_bits(),
+                    fresh.to_bits(),
+                    "cell ({row}, {col}) in state {:?}",
+                    a.cells[idx]
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// After random weight programming, spin writes, column resets and swaps, the
+        /// two-state table lookups reproduce the conductance formula exactly, with
+        /// ideal, realistic and exaggerated non-idealities.
+        #[test]
+        fn conductance_table_matches_the_formula_after_writes(
+            rows in 1usize..=9,
+            bits in 1u8..=4,
+            seed in 0..=u64::MAX,
+            n_ops in 0usize..=64,
+        ) {
+            use rand::{Rng, SeedableRng};
+            use rand::seq::SliceRandom;
+            let precision = BitPrecision::new(bits).unwrap();
+            let configs = [
+                NonIdealityConfig::ideal(),
+                NonIdealityConfig::realistic(),
+                NonIdealityConfig {
+                    wire_resistance_per_cell_ohms: 50.0,
+                    conductance_variation: 0.3,
+                },
+            ];
+            for non_ideality in configs {
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let mut a = CrossbarArray::new(rows, precision, DeviceParams::default(), non_ideality);
+                assert_conductances_fresh(&a, &non_ideality);
+                let coords: Vec<f64> = (0..rows).map(|_| rng.gen_range(0.0..100.0)).collect();
+                let d = taxi_dist::DistanceMatrix::from_fn(rows, |i, j| (coords[i] - coords[j]).abs());
+                a.program_weights(&QuantizedDistances::from_distances(&d, precision).unwrap())
+                    .unwrap();
+                // `perm` mirrors the spin storage while it holds a permutation.
+                let mut perm: Option<Vec<usize>> = None;
+                for _ in 0..n_ops {
+                    match rng.gen_range(0..3) {
+                        0 => {
+                            let (city, order) = (rng.gen_range(0..rows), rng.gen_range(0..rows));
+                            a.write_spin(city, order, rng.gen_bool(0.5)).unwrap();
+                            perm = None;
+                        }
+                        1 => {
+                            a.reset_order_column(rng.gen_range(0..rows)).unwrap();
+                            perm = None;
+                        }
+                        _ => {
+                            let p = perm.get_or_insert_with(|| {
+                                let mut p: Vec<usize> = (0..rows).collect();
+                                p.shuffle(&mut rng);
+                                a.write_assignment(&p).unwrap();
+                                p
+                            });
+                            let (x, y) = (rng.gen_range(0..rows), rng.gen_range(0..rows));
+                            if x != y {
+                                a.move_spin(x, p[x], p[y]).unwrap();
+                                a.move_spin(y, p[y], p[x]).unwrap();
+                                p.swap(x, y);
+                            }
+                        }
+                    }
+                }
+                if let Some(p) = &perm {
+                    proptest::prop_assert_eq!(&a.read_assignment().unwrap(), p);
+                }
+                assert_conductances_fresh(&a, &non_ideality);
+            }
+        }
     }
 }
