@@ -1,7 +1,7 @@
 //! A small dependency-free JSON writer for benchmark artifacts.
 //!
-//! The runnable examples emit machine-readable result files (`BENCH_dispatch.json`,
-//! `BENCH_cache.json`, ...) consumed as CI artifacts. Hand-rolling `write!` calls
+//! The runnable examples emit machine-readable result files (`BENCH_router.json`,
+//! `BENCH_trace.json`, ...) consumed as CI artifacts. Hand-rolling `write!` calls
 //! per example drifts: commas, escaping, and number formatting end up subtly
 //! different across files. This module centralises the emission so every artifact
 //! shares one schema style — stable key order (insertion order), explicit float

@@ -6,8 +6,8 @@
 //! oldest queued request has waited [`linger`](BatchPolicy::linger) — whichever comes
 //! first. Lingering trades a bounded amount of queue wait for fewer, larger drains:
 //! one lock acquisition, one producer wake-up and one clock read per batch instead of
-//! per request, which is what lets throughput scale at saturating load (the
-//! `dispatch_bench` example quantifies the win against batch-size-1).
+//! per request, which is what lets throughput scale at saturating load (taxibench
+//! reports the mean batch size under open-loop load as `dispatch.batch_size_mean`).
 //!
 //! Batches are **priority-scheduled**: queued interactive requests are always drained
 //! before bulk ones, and within the drained batch requests execute in deadline order

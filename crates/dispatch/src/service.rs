@@ -1587,7 +1587,7 @@ mod tests {
                 .with_snapshot_policy(SnapshotPolicy::new(&dir).with_interval(Duration::ZERO))
         };
         let service = DispatchService::start(config(Arc::new(SolutionCache::with_defaults())));
-        service
+        let first = service
             .submit(DispatchRequest::new(clustered_instance("cor", 30, 3, 1)))
             .expect("admitted")
             .wait()
@@ -1611,6 +1611,12 @@ mod tests {
             .solved()
             .expect("served cold");
         assert!(!response.cache_hit, "corrupt snapshot must not serve hits");
+        // The cold answer is generation 1's, bit for bit.
+        assert_eq!(
+            response.solution.length.to_bits(),
+            first.solution.length.to_bits()
+        );
+        assert_eq!(response.solution.tour.order(), first.solution.tour.order());
         let snapshot = service.shutdown();
         assert_eq!(snapshot.snapshots_rejected, 1);
         assert_eq!(snapshot.snapshots_restored, 0);

@@ -168,11 +168,6 @@ impl DistanceMatrix {
         self.data.chunks_exact(self.n.max(1))
     }
 
-    /// Copies the matrix out into the legacy ragged representation (tests, writers).
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        self.rows().map(<[f64]>::to_vec).collect()
-    }
-
     /// Fills every cell with `f(i, j)`, walking the matrix in cache-friendly
     /// 32×32 tiles: the generator's working set (two coordinate ranges per
     /// tile) stays L1-resident instead of streaming the full geometry once per row.
@@ -280,18 +275,28 @@ mod tests {
 
     #[test]
     fn roundtrip_through_rows_is_lossless() {
-        let d = DistanceMatrix::from_fn(5, |i, j| (i * 7 + j) as f64 * 0.25);
-        let rows = d.to_rows();
-        assert_eq!(DistanceMatrix::from_rows(&rows).unwrap(), d);
+        let rows: Vec<Vec<f64>> = (0..5)
+            .map(|i| (0..5).map(|j| (i * 7 + j) as f64 * 0.25).collect())
+            .collect();
+        let d = DistanceMatrix::from_rows(&rows).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &value) in row.iter().enumerate() {
+                assert_eq!(d.get(i, j).to_bits(), value.to_bits());
+            }
+        }
     }
 
     #[test]
     fn blocked_fill_matches_direct_indexing_beyond_one_block() {
         let n = BLOCK * 2 + 7; // force partial edge tiles
-        let d = DistanceMatrix::from_fn(n, |i, j| (i as f64).mul_add(1e-3, j as f64));
-        for i in [0, 1, BLOCK - 1, BLOCK, n - 1] {
-            for j in [0, BLOCK, n - 2, n - 1] {
-                assert_eq!(d.get(i, j), (i as f64).mul_add(1e-3, j as f64));
+        let f = |i: usize, j: usize| (i as f64).mul_add(1e-3, j as f64);
+        let d = DistanceMatrix::from_fn(n, f);
+        let mut refilled = DistanceMatrix::from_fn(n + 3, |_, _| 9.0);
+        refilled.fill_from_fn(n, f);
+        for i in 0..n {
+            for j in 0..n {
+                assert_eq!(d.get(i, j).to_bits(), f(i, j).to_bits());
+                assert_eq!(refilled.get(i, j).to_bits(), f(i, j).to_bits());
             }
         }
     }

@@ -72,6 +72,9 @@ fn drain_under_load_resolves_every_ticket_and_recovers_the_shard() {
     }
     fleet.drain(ShardId::new(0));
     fleet.reconcile_now();
+    // The pass that extracted shard 0's backlog re-adopted it onto survivors.
+    let drained = fleet.snapshot();
+    assert_eq!(drained.orphaned, 0, "no pending left orphaned:\n{drained}");
     // Keep submitting through the drain: the front-end must route around it.
     for i in 60..90u64 {
         let request =

@@ -1,6 +1,5 @@
 //! Adaptive-router load harness: adaptive routing vs. every fixed backend on one
-//! mixed-size Zipf workload, emitting `BENCH_router.json` (a CI artifact alongside
-//! `BENCH_dispatch.json` / `BENCH_cache.json`).
+//! mixed-size Zipf workload, emitting `BENCH_router.json` (a CI artifact).
 //!
 //! The workload is deliberately **bimodal-hostile to any single backend**: a
 //! popular-routes pool of PCB-drilling geometries (the family with the widest

@@ -131,6 +131,7 @@ proptest! {
     /// The five stage reports must be present, in order, and tie out to the solution's
     /// latency breakdown: host-measured stages match the breakdown's host components and
     /// the Account stage's modelled seconds equal the modelled hardware latency.
+    #[test]
     fn stage_reports_sum_to_the_latency_breakdown(
         cities in 12usize..90,
         seed in 0u64..500,
