@@ -54,5 +54,5 @@ pub use error::DeviceError;
 pub use params::DeviceParams;
 pub use rng::{StochasticBitSource, StochasticVectorGenerator};
 pub use rng_comparison::{RngProfile, RngTechnology};
-pub use sot_mram::{MagState, SotMram};
+pub use sot_mram::{MagState, SotMram, SwitchThreshold};
 pub use switching::SwitchingCurve;

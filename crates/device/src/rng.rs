@@ -51,23 +51,11 @@ impl StochasticBitSource {
         current: WriteCurrent,
         rng: &mut R,
     ) -> Result<bool, DeviceError> {
-        self.device.params().require_stochastic(current)?;
-        let p = self.device.params().switching_probability(current);
-        Ok(self.sample_with_threshold(SwitchThreshold::new(p), rng))
-    }
-
-    /// [`sample`](Self::sample) at a switching threshold already derived from a
-    /// validated in-window current: reset, one stochastic pulse, one draw.
-    #[inline]
-    fn sample_with_threshold<R: Rng + ?Sized>(
-        &mut self,
-        threshold: SwitchThreshold,
-        rng: &mut R,
-    ) -> bool {
+        let threshold = SwitchThreshold::for_pulse(self.device.params(), current)?;
         self.device.write_deterministic(MagState::AntiParallel);
         let switched = self.device.flip_with_threshold(threshold, rng);
         self.samples_drawn += 1;
-        switched
+        Ok(switched)
     }
 
     /// Number of bits drawn so far.
@@ -84,8 +72,12 @@ impl StochasticBitSource {
 /// Generates the length-`N` stochastic binary mask used by the Ising macro.
 ///
 /// One SOT-MRAM unit exists per column of the sub-problem (Section III-B/III-C3 of the
-/// paper). The generator also tracks aggregate energy and latency so the architecture
-/// simulator can account for the mask-generation cost.
+/// paper). Every pulse resets each unit to the anti-parallel state and then pulses it
+/// stochastically, so a unit's whole state follows from the outcome of its last pulse
+/// (switched = parallel) and the pulse count (two writes per pulse). The generator
+/// therefore keeps one outcome per unit rather than a device per unit. It also tracks
+/// aggregate energy and latency so the architecture simulator can account for the
+/// mask-generation cost.
 ///
 /// # Example
 ///
@@ -101,8 +93,10 @@ impl StochasticBitSource {
 /// ```
 #[derive(Debug, Clone)]
 pub struct StochasticVectorGenerator {
-    units: Vec<StochasticBitSource>,
     params: DeviceParams,
+    /// Whether each unit switched on the last pulse, before the all-zero fallback; all
+    /// `false` before the first pulse. Its length is the mask width.
+    switched: Vec<bool>,
     pulses_issued: u64,
 }
 
@@ -119,17 +113,20 @@ impl StochasticVectorGenerator {
         }
         params.validate()?;
         Ok(Self {
-            units: (0..width)
-                .map(|_| StochasticBitSource::new(params.clone()))
-                .collect(),
             params,
+            switched: vec![false; width],
             pulses_issued: 0,
         })
     }
 
     /// Number of units (mask width).
     pub fn width(&self) -> usize {
-        self.units.len()
+        self.switched.len()
+    }
+
+    /// The device parameters every unit shares.
+    pub fn params(&self) -> &DeviceParams {
+        &self.params
     }
 
     /// Generates one stochastic binary mask at the given write current.
@@ -146,7 +143,7 @@ impl StochasticVectorGenerator {
         current: WriteCurrent,
         rng: &mut R,
     ) -> Result<Vec<bool>, DeviceError> {
-        let mut mask = Vec::with_capacity(self.units.len());
+        let mut mask = Vec::with_capacity(self.width());
         self.generate_into(current, rng, &mut mask)?;
         Ok(mask)
     }
@@ -164,30 +161,39 @@ impl StochasticVectorGenerator {
         rng: &mut R,
         mask: &mut Vec<bool>,
     ) -> Result<(), DeviceError> {
-        mask.clear();
-        // Every unit of a pulse sees the same write current, so the window check, the
-        // sigmoid and the switching threshold are evaluated once per pulse; each unit
-        // still draws its own bit, in unit order, exactly as a per-unit `sample` loop
-        // would.
-        self.params.require_stochastic(current)?;
-        let threshold = SwitchThreshold::new(self.params.switching_probability(current));
+        let threshold = SwitchThreshold::for_pulse(&self.params, current)?;
+        self.generate_at(threshold, rng, mask);
+        Ok(())
+    }
+
+    /// [`generate_into`](Self::generate_into) for a pulse whose threshold was derived
+    /// once, from this generator's device parameters, by
+    /// [`SwitchThreshold::for_pulse`]. Each unit draws one bit, in unit order, exactly
+    /// as a per-unit [`StochasticBitSource::sample`] loop would.
+    pub fn generate_at<R: Rng + ?Sized>(
+        &mut self,
+        threshold: SwitchThreshold,
+        rng: &mut R,
+        mask: &mut Vec<bool>,
+    ) {
         let mut any = false;
-        for unit in &mut self.units {
-            let switched = unit.sample_with_threshold(threshold, rng);
-            any |= switched;
-            mask.push(switched);
+        for unit in &mut self.switched {
+            *unit = threshold.draw(rng);
+            any |= *unit;
         }
         self.pulses_issued += 1;
-        if !any {
-            mask.iter_mut().for_each(|b| *b = true);
+        mask.clear();
+        if any {
+            mask.extend_from_slice(&self.switched);
+        } else {
+            mask.resize(self.switched.len(), true);
         }
-        Ok(())
     }
 
     /// Expected number of ones in a mask generated at `current` (before the empty-set
     /// fallback is applied).
     pub fn expected_ones(&self, current: WriteCurrent) -> f64 {
-        self.units.len() as f64 * self.params.switching_probability(current)
+        self.width() as f64 * self.params.switching_probability(current)
     }
 
     /// Total number of mask-generation pulses issued so far.
@@ -197,7 +203,7 @@ impl StochasticVectorGenerator {
 
     /// Energy of generating one mask (all units pulsed once), in joules.
     pub fn energy_per_mask(&self) -> f64 {
-        self.units.len() as f64 * self.params.write_energy_joules
+        self.width() as f64 * self.params.write_energy_joules
     }
 
     /// Latency of generating one mask, in seconds (units are pulsed in parallel).
@@ -295,7 +301,7 @@ mod tests {
         assert!(gen.latency_per_mask() > 0.0);
     }
 
-    /// The per-pulse `generate_into` against the circuit it replaces: one
+    /// The unit-free `generate_into` against the circuit it models: one
     /// `StochasticBitSource::sample` per unit, then the NAND all-zero fallback.
     #[test]
     fn per_pulse_generation_matches_per_unit_sampling() {
@@ -333,10 +339,13 @@ mod tests {
                 assert_eq!(gen.pulses_issued(), pulse as u64 + 1);
             }
             assert!(fallbacks > 0, "the all-zero fallback must be exercised");
-            for (unit, expected) in gen.units.iter().zip(&reference) {
-                assert_eq!(unit.samples_drawn(), expected.samples_drawn());
-                assert_eq!(unit.device(), expected.device());
-                assert_eq!(unit.device().write_count(), 2 * PULSES as u64);
+            // A unit's state is its last pre-fallback outcome, and each pulse is a
+            // reset write plus a stochastic write.
+            for (&switched, expected) in gen.switched.iter().zip(&reference) {
+                assert_eq!(gen.pulses_issued(), expected.samples_drawn());
+                assert_eq!(MagState::from_bit(switched), expected.device().state());
+                assert_eq!(2 * gen.pulses_issued(), expected.device().write_count());
+                assert_eq!(expected.device().write_count(), 2 * PULSES as u64);
             }
             assert_eq!(rng.next_u64(), ref_rng.next_u64(), "same draws consumed");
         }
@@ -360,8 +369,7 @@ mod tests {
             ));
             assert_eq!(rng.clone().next_u64(), untouched.clone().next_u64());
             assert_eq!(gen.pulses_issued(), 0);
-            assert!(gen.units.iter().all(|u| u.samples_drawn() == 0));
-            assert!(gen.units.iter().all(|u| u.device().write_count() == 0));
+            assert!(gen.switched.iter().all(|&switched| !switched));
         }
     }
 

@@ -49,10 +49,37 @@ impl MagState {
 /// Scaling by 2⁵³ is exact, and `u` is an integer, so that holds exactly when
 /// `u < ⌈p · 2⁵³⌉`. The threshold is computed once per pulse and every decision is an
 /// integer compare, with the same outcome and the same RNG words as `gen_bool(p)`.
+///
+/// A threshold depends only on the device parameters and the write current, so an
+/// annealing schedule's thresholds can be derived once and reused by every solve.
+///
+/// # Example
+///
+/// ```
+/// use taxi_device::{DeviceParams, SwitchThreshold, WriteCurrent};
+///
+/// let params = DeviceParams::default();
+/// let pulse = SwitchThreshold::for_pulse(&params, WriteCurrent::from_micro_amps(420.0))?;
+/// assert!(SwitchThreshold::for_pulse(&params, WriteCurrent::from_micro_amps(700.0)).is_err());
+/// # let _ = pulse;
+/// # Ok::<(), taxi_device::DeviceError>(())
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SwitchThreshold(u64);
+pub struct SwitchThreshold(u64);
 
 impl SwitchThreshold {
+    /// The threshold of a stochastic pulse at `current`: one window check, one sigmoid
+    /// evaluation and one rounding.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DeviceError::CurrentOutsideStochasticWindow`] if `current` lies outside
+    /// the stochastic window of `params`.
+    pub fn for_pulse(params: &DeviceParams, current: WriteCurrent) -> Result<Self, DeviceError> {
+        params.require_stochastic(current)?;
+        Ok(Self::new(params.switching_probability(current)))
+    }
+
     /// The threshold for probability `p`, clamped to `[0, 1]` as `gen_bool` clamps it.
     /// A NaN `p` never switches, as `u · 2⁻⁵³ < NaN` never holds.
     pub(crate) fn new(p: f64) -> Self {
@@ -178,15 +205,13 @@ impl SotMram {
         current: WriteCurrent,
         rng: &mut R,
     ) -> Result<bool, DeviceError> {
-        self.params.require_stochastic(current)?;
-        let p = self.params.switching_probability(current);
-        Ok(self.flip_with_threshold(SwitchThreshold::new(p), rng))
+        let threshold = SwitchThreshold::for_pulse(&self.params, current)?;
+        Ok(self.flip_with_threshold(threshold, rng))
     }
 
-    /// One stochastic write pulse whose switching probability the caller has already
-    /// derived from a validated in-window current: draws one Bernoulli bit, counts the
-    /// write and flips the state when the bit is set. Lets a mask circuit whose units
-    /// share one pulse validate, evaluate the sigmoid and derive the threshold once.
+    /// One stochastic write pulse at a threshold from [`SwitchThreshold::for_pulse`]:
+    /// draws one Bernoulli bit, counts the write and flips the state when the bit is
+    /// set.
     #[inline]
     pub(crate) fn flip_with_threshold<R: Rng + ?Sized>(
         &mut self,

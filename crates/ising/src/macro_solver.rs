@@ -17,8 +17,9 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use taxi_device::{DeviceError, SwitchThreshold};
 use taxi_dist::DistanceMatrix;
-use taxi_xbar::{IsingMacro, MacroConfig, MacroOpCounts};
+use taxi_xbar::{IsingMacro, MacroConfig, MacroOpCounts, XbarError};
 
 use crate::{AnnealingSchedule, CurrentSchedule, IsingError};
 
@@ -127,7 +128,8 @@ pub struct SubTourStats {
 /// Reusable per-worker scratch for the macro TSP solver.
 ///
 /// Holds one warm [`IsingMacro`] per sub-problem size (re-targeted in place through
-/// [`IsingMacro::remap`]) plus the order/visited buffers of the annealing loop. After a
+/// [`IsingMacro::remap`]), the switching threshold of every pulse of the annealing
+/// schedule, and the order/visited buffers of the annealing loop. After a
 /// warm-up solve per distinct sub-problem size, every subsequent solve through
 /// [`MacroTspSolver::solve_cycle_with`] / [`MacroTspSolver::solve_path_with`] performs
 /// zero heap allocations. Results are bit-identical to the allocating entry points: a
@@ -136,8 +138,14 @@ pub struct SubTourStats {
 pub struct MacroScratch {
     /// `macros[n]` is the warm macro for `n`-city sub-problems.
     macros: Vec<Option<IsingMacro>>,
-    /// Configuration the warm macros were built with; a config change flushes the pool.
+    /// Configuration the warm macros and thresholds were built for; a config change
+    /// flushes the pool and rebuilds the thresholds.
     config: Option<MacroSolverConfig>,
+    /// `thresholds[t]` is the switching threshold of schedule step `t`. A schedule that
+    /// leaves the stochastic window ends the table at its first such step, whose error
+    /// `pulse_error` holds; a solve returns that error when it reaches the step.
+    thresholds: Vec<SwitchThreshold>,
+    pulse_error: Option<DeviceError>,
     initial: Vec<usize>,
     best: Vec<usize>,
     visited: Vec<bool>,
@@ -155,7 +163,8 @@ impl MacroScratch {
     }
 
     /// Ensures the pooled macro for `n` cities is built and programmed for `distances`,
-    /// flushing the pool first if the solver configuration changed.
+    /// flushing the pool and rebuilding the threshold table first if the solver
+    /// configuration changed.
     fn prepare_macro(
         &mut self,
         config: &MacroSolverConfig,
@@ -163,6 +172,7 @@ impl MacroScratch {
     ) -> Result<(), IsingError> {
         if self.config.as_ref() != Some(config) {
             self.macros.clear();
+            self.build_thresholds(config);
             self.config = Some(config.clone());
         }
         let n = distances.n();
@@ -174,6 +184,23 @@ impl MacroScratch {
             slot => *slot = Some(IsingMacro::new(distances, config.macro_config().clone())?),
         }
         Ok(())
+    }
+
+    /// Derives the threshold of every schedule step from the configured device.
+    fn build_thresholds(&mut self, config: &MacroSolverConfig) {
+        let params = config.macro_config().device_params();
+        let schedule = config.schedule();
+        self.thresholds.clear();
+        self.pulse_error = None;
+        for t in 0..schedule.len() {
+            match SwitchThreshold::for_pulse(params, schedule.current_at(t)) {
+                Ok(threshold) => self.thresholds.push(threshold),
+                Err(err) => {
+                    self.pulse_error = Some(err);
+                    break;
+                }
+            }
+        }
     }
 }
 
@@ -245,6 +272,8 @@ impl MacroTspSolver {
         scratch.prepare_macro(&self.config, distances)?;
         let MacroScratch {
             macros,
+            thresholds,
+            pulse_error,
             initial,
             best,
             visited,
@@ -254,15 +283,12 @@ impl MacroTspSolver {
         nearest_neighbor_order_into(distances, 0, visited, initial);
         macro_.initialize_order(initial)?;
 
-        let schedule = self.config.schedule;
-        let total = schedule.len();
         best.clear();
         best.extend_from_slice(initial);
         let mut best_length = cycle_length(distances, best);
-        for t in 0..total {
+        for (t, &threshold) in thresholds.iter().enumerate() {
             let order = t % n;
-            let i_write = schedule.current_at(t);
-            macro_.optimize_order(order, i_write, &mut rng)?;
+            macro_.optimize_order_at(order, threshold, &[], &mut rng)?;
             if self.config.elitist && (t + 1) % n == 0 {
                 let current = elitist_snapshot(macro_);
                 let length = cycle_length(distances, current);
@@ -272,6 +298,9 @@ impl MacroTspSolver {
                     best.extend_from_slice(current);
                 }
             }
+        }
+        if let Some(err) = pulse_error {
+            return Err(XbarError::Device(err.clone()).into());
         }
         macro_.read_solution_into(out)?;
         let final_length = cycle_length(distances, out);
@@ -284,7 +313,7 @@ impl MacroTspSolver {
         };
         Ok(SubTourStats {
             length,
-            iterations: total as u64,
+            iterations: thresholds.len() as u64,
             op_counts: macro_.op_counts(),
         })
     }
@@ -424,6 +453,8 @@ impl MacroTspSolver {
         scratch.prepare_macro(&self.config, distances)?;
         let MacroScratch {
             macros,
+            thresholds,
+            pulse_error,
             initial,
             best,
             visited,
@@ -434,17 +465,14 @@ impl MacroTspSolver {
         macro_.initialize_order(initial)?;
 
         let frozen = [start, end];
-        let schedule = self.config.schedule;
-        let total = schedule.len();
         let interior = n - 2;
         best.clear();
         best.extend_from_slice(initial);
         let mut best_length = path_length(distances, best);
-        for t in 0..total {
+        for (t, &threshold) in thresholds.iter().enumerate() {
             // Cycle over the interior orders 1..n-1; endpoints stay pinned.
             let order = 1 + (t % interior);
-            let i_write = schedule.current_at(t);
-            macro_.optimize_order_constrained(order, i_write, &frozen, &mut rng)?;
+            macro_.optimize_order_at(order, threshold, &frozen, &mut rng)?;
             if self.config.elitist && (t + 1) % interior == 0 {
                 let current = elitist_snapshot(macro_);
                 let length = path_length(distances, current);
@@ -454,6 +482,9 @@ impl MacroTspSolver {
                     best.extend_from_slice(current);
                 }
             }
+        }
+        if let Some(err) = pulse_error {
+            return Err(XbarError::Device(err.clone()).into());
         }
         macro_.read_solution_into(out)?;
         let final_length = path_length(distances, out);
@@ -468,7 +499,7 @@ impl MacroTspSolver {
         debug_assert_eq!(out[n - 1], end, "end endpoint must remain pinned");
         Ok(SubTourStats {
             length,
-            iterations: total as u64,
+            iterations: thresholds.len() as u64,
             op_counts: macro_.op_counts(),
         })
     }
@@ -770,23 +801,111 @@ mod tests {
         assert_eq!(scratch.warm_macros(), 3);
     }
 
-    /// Changing the solver configuration between solves flushes the warm pool instead of
-    /// silently reusing macros built for a different precision/schedule.
+    /// Changing the solver configuration between solves flushes the warm pool and
+    /// rebuilds the threshold table instead of silently reusing macros or thresholds
+    /// built for a different precision, schedule or switching curve.
     #[test]
     fn scratch_flushes_on_config_change() {
-        let (d, _) = circle_distances(6);
+        use taxi_device::{DeviceParams, SwitchingCurve, WriteCurrent};
+        let steeper = DeviceParams {
+            switching_curve: SwitchingCurve::new(
+                WriteCurrent::from_micro_amps(400.0),
+                WriteCurrent::from_micro_amps(4.0),
+            ),
+            ..DeviceParams::default()
+        };
+        // Non-elitist, so the returned tour is the final spin storage, which the last
+        // masks decide.
+        let default = MacroSolverConfig::default().with_elitist(false);
+        // Another precision, schedule and switching curve.
+        let other = MacroSolverConfig::new(
+            MacroConfig::new(2)
+                .with_capacity(64)
+                .with_device_params(steeper.clone()),
+        )
+        .with_schedule(CurrentSchedule::fast())
+        .with_elitist(false);
+        // Only the switching curve differs from the default.
+        let curve_only = default
+            .clone()
+            .with_macro_config(default.macro_config().clone().with_device_params(steeper));
+        let d = DistanceMatrix::from_fn(10, |i, j| {
+            let point = |k: usize| ((k * 7 % 10) as f64, (k * k % 11) as f64);
+            let ((x1, y1), (x2, y2)) = (point(i), point(j));
+            (x1 - x2).hypot(y1 - y2)
+        });
+        // The curve alone changes the tour, so a stale table would show.
+        let tour = |config: &MacroSolverConfig| {
+            MacroTspSolver::new(config.clone())
+                .solve_cycle(&d, 1)
+                .unwrap()
+                .order
+        };
+        assert_ne!(tour(&default), tour(&curve_only));
         let mut scratch = MacroScratch::new();
         let mut out = Vec::new();
-        let a = MacroTspSolver::default();
-        a.solve_cycle_with(&d, 1, &mut scratch, &mut out).unwrap();
-        let b = MacroTspSolver::new(
-            MacroSolverConfig::new(MacroConfig::new(2).with_capacity(64))
-                .with_schedule(CurrentSchedule::software()),
-        );
-        let fresh = b.solve_cycle(&d, 1).unwrap();
-        let stats = b.solve_cycle_with(&d, 1, &mut scratch, &mut out).unwrap();
-        assert_eq!(out, fresh.order);
-        assert_eq!(stats.length, fresh.length);
+        for config in [default.clone(), curve_only, other, default] {
+            let solver = MacroTspSolver::new(config);
+            let fresh = solver.solve_cycle(&d, 1).unwrap();
+            let stats = solver
+                .solve_cycle_with(&d, 1, &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out, fresh.order);
+            assert_eq!(stats.length, fresh.length);
+            assert_eq!(stats.iterations, fresh.iterations);
+            assert_eq!(stats.op_counts, fresh.op_counts);
+            let fresh = solver.solve_path(&d, 0, 9, 2).unwrap();
+            let stats = solver
+                .solve_path_with(&d, 0, 9, 2, &mut scratch, &mut out)
+                .unwrap();
+            assert_eq!(out, fresh.order);
+            assert_eq!(stats.length, fresh.length);
+            assert_eq!(stats.op_counts, fresh.op_counts);
+            // The threshold table and the per-step current path agree.
+            let (traced, _) = solver.solve_cycle_traced(&d, 1).unwrap();
+            assert_eq!(traced.order, solver.solve_cycle(&d, 1).unwrap().order);
+        }
+    }
+
+    /// A schedule that leaves the stochastic window fails with the window error of its
+    /// first out-of-window step, on the threshold-table path exactly as on the
+    /// per-step current path, and a later in-window config still solves.
+    #[test]
+    fn out_of_window_schedule_fails_at_its_first_bad_step() {
+        use taxi_device::{DeviceParams, WriteCurrent};
+        let ua = WriteCurrent::from_micro_amps;
+        let params = DeviceParams::default();
+        let (d, _) = circle_distances(7);
+        let mut scratch = MacroScratch::new();
+        let mut out = Vec::new();
+        // Starts above the deterministic threshold; ends below the window.
+        for (schedule, bad_step) in [
+            (CurrentSchedule::new(ua(660.0), ua(600.0), ua(1.0)), 0),
+            (CurrentSchedule::new(ua(310.0), ua(290.0), ua(1.0)), 11),
+        ] {
+            let expected = IsingError::Hardware(XbarError::Device(
+                params
+                    .require_stochastic(schedule.current_at(bad_step))
+                    .unwrap_err(),
+            ));
+            if bad_step > 0 {
+                assert!(params
+                    .require_stochastic(schedule.current_at(bad_step - 1))
+                    .is_ok());
+            }
+            let solver = MacroTspSolver::new(MacroSolverConfig::default().with_schedule(schedule));
+            let cycle = solver.solve_cycle_with(&d, 3, &mut scratch, &mut out);
+            assert_eq!(cycle.unwrap_err(), expected);
+            let path = solver.solve_path_with(&d, 0, 6, 3, &mut scratch, &mut out);
+            assert_eq!(path.unwrap_err(), expected);
+            assert_eq!(solver.solve_cycle_traced(&d, 3).unwrap_err(), expected);
+        }
+        let solver = MacroTspSolver::default();
+        let stats = solver
+            .solve_cycle_with(&d, 3, &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!(out, solver.solve_cycle(&d, 3).unwrap().order);
+        assert_eq!(stats.iterations, CurrentSchedule::software().len() as u64);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use taxi_device::{DeviceParams, WriteCurrent};
+use taxi_device::{DeviceParams, SwitchThreshold, WriteCurrent};
 use taxi_dist::DistanceMatrix;
 
 use crate::array::NonIdealityConfig;
@@ -275,6 +275,19 @@ impl IsingMacro {
         Ok(())
     }
 
+    /// Returns the number of cities if `order` is a valid visiting position.
+    fn check_order(&self, order: usize) -> Result<usize, XbarError> {
+        let n = self.num_cities();
+        if order >= n {
+            return Err(XbarError::IndexOutOfRange {
+                kind: "order",
+                index: order,
+                len: n,
+            });
+        }
+        Ok(n)
+    }
+
     /// Makes the shadow assignment current, reading the spin storage only when it
     /// is unset.
     fn ensure_shadow(&mut self) -> Result<(), XbarError> {
@@ -337,13 +350,7 @@ impl IsingMacro {
     ///
     /// Returns an error if the spin storage is corrupt or `order` is out of range.
     pub fn city_at_order(&self, order: usize) -> Result<usize, XbarError> {
-        if order >= self.num_cities() {
-            return Err(XbarError::IndexOutOfRange {
-                kind: "order",
-                index: order,
-                len: self.num_cities(),
-            });
-        }
+        self.check_order(order)?;
         Ok(self.read_solution()?[order])
     }
 
@@ -382,7 +389,9 @@ impl IsingMacro {
     ///
     /// # Errors
     ///
-    /// Same error conditions as [`optimize_order`](Self::optimize_order).
+    /// Same error conditions as [`optimize_order`](Self::optimize_order). A rejected
+    /// write current is reported before the step touches the array, the counters or
+    /// the RNG.
     pub fn optimize_order_constrained<R: Rng + ?Sized>(
         &mut self,
         order: usize,
@@ -390,14 +399,30 @@ impl IsingMacro {
         forbidden_cities: &[usize],
         rng: &mut R,
     ) -> Result<usize, XbarError> {
-        let n = self.num_cities();
-        if order >= n {
-            return Err(XbarError::IndexOutOfRange {
-                kind: "order",
-                index: order,
-                len: n,
-            });
-        }
+        // Order and spin storage first, so a call with several faults reports the
+        // same error as before the current was checked up front.
+        self.check_order(order)?;
+        self.ensure_shadow()?;
+        let threshold = SwitchThreshold::for_pulse(&self.config.device_params, i_write)?;
+        self.optimize_order_at(order, threshold, forbidden_cities, rng)
+    }
+
+    /// [`optimize_order_constrained`](Self::optimize_order_constrained) for a pulse whose
+    /// threshold was derived once, from this macro's device parameters, by
+    /// [`SwitchThreshold::for_pulse`]. An annealing schedule derives its thresholds
+    /// once and drives every step through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `order` is out of range or the spin storage is corrupt.
+    pub fn optimize_order_at<R: Rng + ?Sized>(
+        &mut self,
+        order: usize,
+        threshold: SwitchThreshold,
+        forbidden_cities: &[usize],
+        rng: &mut R,
+    ) -> Result<usize, XbarError> {
+        let n = self.check_order(order)?;
         self.ensure_shadow()?;
         let prev_order = (order + n - 1) % n;
         let next_order = (order + 1) % n;
@@ -430,7 +455,7 @@ impl IsingMacro {
 
         // Phase 3: stochastic gating.
         self.mask_circuit
-            .gate_into(&self.city_buf, i_write, rng, &mut self.gated_buf)?;
+            .gate_at(&self.city_buf, threshold, rng, &mut self.gated_buf);
 
         // Phase 4: winner-take-all. If the mask suppressed every admissible column fall
         // back to the ungated currents (the circuit's NAND fallback already guarantees a
@@ -611,6 +636,48 @@ mod tests {
         assert!(m
             .optimize_order(9, WriteCurrent::from_micro_amps(420.0), &mut rng)
             .is_err());
+    }
+
+    /// An out-of-window write current is rejected before the step has any effect: the
+    /// op counts, the array's read and write counts, the shadow assignment and the RNG
+    /// stay as they were, and the error is the device's window error.
+    #[test]
+    fn rejected_pulse_leaves_the_macro_untouched() {
+        use rand::RngCore;
+        let d = long_line_distances();
+        let params = DeviceParams::default();
+        let mut m = IsingMacro::new(&d, MacroConfig::new(4)).unwrap();
+        m.initialize_order(&[0, 3, 1, 4, 2, 5]).unwrap();
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for order in 0..6 {
+            m.optimize_order(order, WriteCurrent::from_micro_amps(410.0), &mut rng)
+                .unwrap();
+        }
+        for ua in [0.0, 299.9, 650.0, 700.0] {
+            let i_write = WriteCurrent::from_micro_amps(ua);
+            let counts = m.op_counts();
+            let (reads, writes) = (m.array().read_ops(), m.array().write_ops());
+            let shadow = m.shadow_assignment().unwrap().to_vec();
+            let untouched = rng.clone();
+            let err = m
+                .optimize_order_constrained(2, i_write, &[0], &mut rng)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                XbarError::Device(params.require_stochastic(i_write).unwrap_err())
+            );
+            assert_eq!(m.op_counts(), counts, "{ua} µA");
+            assert_eq!(m.array().read_ops(), reads, "{ua} µA");
+            assert_eq!(m.array().write_ops(), writes, "{ua} µA");
+            assert_eq!(m.shadow_assignment(), Some(shadow.as_slice()), "{ua} µA");
+            assert_eq!(m.read_solution().unwrap(), shadow, "{ua} µA");
+            assert_eq!(rng.clone().next_u64(), untouched.clone().next_u64());
+        }
+        // An out-of-range order still takes precedence over a bad current.
+        assert!(matches!(
+            m.optimize_order(6, WriteCurrent::from_micro_amps(700.0), &mut rng),
+            Err(XbarError::IndexOutOfRange { .. })
+        ));
     }
 
     /// A remapped macro must behave bit-identically to a freshly constructed one: the

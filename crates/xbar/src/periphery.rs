@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use taxi_device::{DeviceParams, StochasticVectorGenerator, WriteCurrent};
+use taxi_device::{DeviceParams, StochasticVectorGenerator, SwitchThreshold, WriteCurrent};
 
 use crate::XbarError;
 
@@ -257,6 +257,24 @@ impl StochasticMaskCircuit {
         rng: &mut R,
         out: &mut [f64],
     ) -> Result<(), XbarError> {
+        let threshold = SwitchThreshold::for_pulse(self.generator.params(), i_write)?;
+        self.gate_at(currents, threshold, rng, out);
+        Ok(())
+    }
+
+    /// [`gate_into`](Self::gate_into) for a pulse whose threshold was derived once, from
+    /// this circuit's device parameters, by [`SwitchThreshold::for_pulse`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `currents.len()` or `out.len()` differs from the circuit width.
+    pub fn gate_at<R: Rng + ?Sized>(
+        &mut self,
+        currents: &[f64],
+        threshold: SwitchThreshold,
+        rng: &mut R,
+        out: &mut [f64],
+    ) {
         assert_eq!(
             currents.len(),
             self.generator.width(),
@@ -268,11 +286,10 @@ impl StochasticMaskCircuit {
             "output length must equal the mask width"
         );
         self.generator
-            .generate_into(i_write, rng, &mut self.mask_buf)?;
+            .generate_at(threshold, rng, &mut self.mask_buf);
         for ((o, &i), &allow) in out.iter_mut().zip(currents).zip(&self.mask_buf) {
             *o = if allow { i } else { 0.0 };
         }
-        Ok(())
     }
 
     /// Expected fraction of columns allowed to pass at the given write current.
